@@ -8,9 +8,13 @@ Each directory holds <workload>.jsonl files written by
 and end-to-end metric this prints each side's median and quartiles
 and a verdict against the bound in BENCHMARK.json:
 
-  worse       the change's median is worse than the parent's by more
-              than the bound (or, when the spread exceeds the bound,
-              every change run is worse than every parent run);
+  worse       a change run is not correct or fails more operations
+              than every parent run did (then every metric of the
+              workload is worse: a gain does not count when more
+              operations fail); or the change's median is worse
+              than the parent's by more than the bound (or, when the
+              spread exceeds the bound, every change run is worse
+              than every parent run);
   better      the medians differ by more than the parent's own
               quartile spread and the change wins at least 9 of 10
               seed-paired runs (of all parent/change run pairs, when
@@ -58,6 +62,19 @@ def quartiles(values):
 def series(records, name):
     return {r.get("seed"): r["metrics"][name]["value"]
             for r in records if name in r["metrics"]}
+
+
+def correctness(parent, change):
+    """Why the change's runs are less correct than the parent's, or ""."""
+    records = parent["e2e"] + parent["layer"]
+    parent_failed = max((r["failed"] for r in records), default=0)
+    for record in change["e2e"] + change["layer"]:
+        if not record["correct"]:
+            return f"seed {record.get('seed')}: correct is false"
+        if record["failed"] > parent_failed:
+            return (f"seed {record.get('seed')}: {record['failed']} failed "
+                    f"operations, parent at most {parent_failed}")
+    return ""
 
 
 def verdict(parent, change, lower_better, bound):
@@ -108,6 +125,10 @@ def main():
         if workload not in parent or workload not in change:
             continue
         print(f"== {workload}")
+        broken = correctness(parent[workload], change[workload])
+        if broken:
+            any_worse = True
+            print(f"  correctness: worse ({broken})")
         print(f"  {'metric':24s} {'parent q1/med/q3':>32s} "
               f"{'change q1/med/q3':>32s} {'delta':>8s}  verdict")
         for metric in spec["end_to_end"]:
@@ -118,8 +139,8 @@ def main():
                 continue
             aq, bq = quartiles(list(a.values())), quartiles(list(b.values()))
             delta = (bq[1] - aq[1]) / (abs(aq[1]) or 1.0)
-            result = verdict(a, b, metric["better"] == "lower",
-                             metric["bound"])
+            result = "worse" if broken else verdict(
+                a, b, metric["better"] == "lower", metric["bound"])
             any_worse |= result == "worse"
             print(f"  {name:24s} {'/'.join(map(fmt, aq)):>32s} "
                   f"{'/'.join(map(fmt, bq)):>32s} {delta:+8.1%}  {result}")

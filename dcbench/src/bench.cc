@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "photonic/grid.hh"
+
 namespace dcbench
 {
 
@@ -78,6 +80,18 @@ geomean(const std::vector<double> &values)
     for (double v : values)
         log_sum += std::log(v);
     return std::exp(log_sum / static_cast<double>(values.size()));
+}
+
+dcmbqc::CompileOptions
+cliOptions(int qpus, int qubits, std::uint64_t seed)
+{
+    return dcmbqc::CompileOptions()
+        .numQpus(qpus)
+        .kmax(4)
+        .gridSize(dcmbqc::gridSizeForQubits(qubits))
+        .resourceState(dcmbqc::ResourceStateType::Star5)
+        .useBdir(true)
+        .seed(seed);
 }
 
 } // namespace dcbench

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "api/options.hh"
+
 namespace dcbench
 {
 
@@ -93,6 +95,14 @@ double quantile(std::vector<double> values, double q);
 
 /** Geometric mean of positive values (0 when empty). */
 double geomean(const std::vector<double> &values);
+
+/**
+ * The options `dcmbqc compile` runs at by default, for `qpus` QPUs
+ * and a `qubits`-qubit input: kmax 4, the `gridSizeForQubits` grid,
+ * Star5 resource states, BDIR on and compile seed `seed`.
+ */
+dcmbqc::CompileOptions cliOptions(int qpus, int qubits,
+                                  std::uint64_t seed);
 
 /**
  * One workload: `setup` prepares inputs and warms the process (it is

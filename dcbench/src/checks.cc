@@ -4,11 +4,11 @@
 #include <complex>
 
 #include "api/api.hh"
+#include "bench.hh"
 #include "circuit/generators.hh"
 #include "core/lifetime.hh"
 #include "core/lsp_builder.hh"
 #include "mbqc/dependency.hh"
-#include "photonic/grid.hh"
 #include "serialize/codecs.hh"
 #include "sim/stabilizer.hh"
 #include "sim/statevector.hh"
@@ -254,10 +254,7 @@ selfCheck()
 {
     // A corrupted schedule: two main tasks of QPU 0 share a slot.
     const Circuit program = makeQft(8);
-    const CompileOptions options = CompileOptions()
-                                       .numQpus(2)
-                                       .gridSize(gridSizeForQubits(8))
-                                       .seed(1);
+    const CompileOptions options = cliOptions(2, 8, 1);
     auto compiled = CompilerDriver(options).compile(
         CompileRequest::fromCircuit(program, "self-check"));
     if (!compiled.ok() || !compiled->pattern)

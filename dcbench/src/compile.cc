@@ -12,6 +12,11 @@
  *    lattices with a 128-512 gate window, so PatternStream and the
  *    windowed ScheduleList run; PlaceLocal dominates.
  *
+ * exec_cycles and lifetime_cycles are geometric means over the
+ * distributed (4- and 8-QPU) schedules only: the 1-QPU baseline is
+ * the reference the paper's gains are measured against, not an
+ * output of the distributed compiler.
+ *
  * The programs and the compile seed (the CLI's default, 1) are
  * pinned: on random instances the partitioner's run time jumps by up
  * to 100x and the schedule metrics move by 20%, which would swamp a
@@ -32,7 +37,6 @@
 #include "common/thread_pool.hh"
 #include "compiler/single_qpu.hh"
 #include "mbqc/dependency.hh"
-#include "photonic/grid.hh"
 #include "serialize/codecs.hh"
 #include "trace.hh"
 
@@ -60,6 +64,16 @@ struct CompileJob
 
     /** Schedule bytes of the first rep; later reps must repeat them. */
     std::vector<std::uint8_t> firstBytes;
+
+    /** Wall-clock of each untraced compile, ms. */
+    std::vector<double> ms;
+
+    /**
+     * Traced runs: the partition parts of the first rep's schedule,
+     * as the inputs PlaceLocal hands the single-QPU compiler.
+     */
+    std::vector<std::pair<Graph, Digraph>> parts;
+    SingleQpuConfig local;
 };
 
 /** Deterministic per-program facts gathered on the first rep. */
@@ -69,53 +83,28 @@ struct Counters
     double distributed = 0, mainTasks = 0, syncTasks = 0;
     double makespanSlots = 0, bdirAccepted = 0, bdirIterations = 0;
     double lifetimeDrop = 0, windows = 0, frontierPeak = 0;
-    double liveBytesPeak = 0, qpuMaxMs = 0, qpuSumMs = 0;
+    double liveBytesPeak = 0;
     std::vector<double> execCycles, lifetimeCycles;
 };
 
-CompileOptions
-cliOptions(int qpus, int qubits, std::uint64_t seed)
-{
-    return CompileOptions()
-        .numQpus(qpus)
-        .kmax(4)
-        .gridSize(gridSizeForQubits(qubits))
-        .resourceState(ResourceStateType::Star5)
-        .useBdir(true)
-        .seed(seed);
-}
-
-/**
- * Re-issue the public single-QPU compiler once per partition part,
- * sequentially, so the slowest part's share of PlaceLocal is visible
- * from outside the pass (which runs the parts in parallel).
- */
+/** Split a compiled program into the per-QPU inputs of PlaceLocal. */
 void
-reissueLocalCompiles(const Graph &graph, const Digraph &deps,
-                     const Partitioning &partition,
-                     const DcMbqcConfig &config, Counters &counters)
+keepLocalParts(const Graph &graph, const Digraph &deps,
+               const Partitioning &partition, const DcMbqcConfig &config,
+               CompileJob &job)
 {
-    SingleQpuConfig local;
-    local.grid = config.grid;
-    local.order = config.order;
-    const SingleQpuCompiler compiler(local);
-    double max_ms = 0, sum_ms = 0;
+    job.local.grid = config.grid;
+    job.local.order = config.order;
     for (const auto &members : partition.partMembers()) {
         std::vector<NodeId> to_sub;
-        const Graph sub = graph.inducedSubgraph(members, &to_sub);
+        Graph sub = graph.inducedSubgraph(members, &to_sub);
         Digraph sub_deps(sub.numNodes());
         for (NodeId u : members)
             for (NodeId v : deps.successors(u))
                 if (to_sub[v] != invalidNode)
                     sub_deps.addArc(to_sub[u], to_sub[v]);
-        const auto start = Clock::now();
-        (void)compiler.compile(sub, sub_deps);
-        const double ms = msSince(start);
-        max_ms = std::max(max_ms, ms);
-        sum_ms += ms;
+        job.parts.emplace_back(std::move(sub), std::move(sub_deps));
     }
-    counters.qpuMaxMs += max_ms;
-    counters.qpuSumMs += sum_ms;
 }
 
 /** Parse "lifetime A -> B cycles (N accepted moves" from the note. */
@@ -176,7 +165,7 @@ class CompileSetWorkload : public Workload
             const double ms = msSince(start);
             total_ms += ms;
             if (!tracer)
-                requestMs_.push_back(ms);
+                job.ms.push_back(ms);
             if (!report.ok()) {
                 outcome.fail(job.label + ": " +
                              report.status().toString());
@@ -184,10 +173,12 @@ class CompileSetWorkload : public Workload
             }
             inspect(job, *report, first, outcome);
         }
-        if (tracer)
+        if (tracer) {
             tracedSelf_.push_back(tracer->selfMillis(mark));
-        else
+            reissueLocalCompiles();
+        } else {
             setMillis_.push_back(total_ms);
+        }
         return total_ms;
     }
 
@@ -196,9 +187,15 @@ class CompileSetWorkload : public Workload
     {
         const Counters &c = counters_;
         if (!tracer) {
+            // A request's latency is its median over the reps, so the
+            // tail is the slowest programs' typical compile rather
+            // than one rep's hiccup.
+            std::vector<double> request_ms;
+            for (const CompileJob &job : jobs_)
+                request_ms.push_back(median(job.ms));
             outcome.set("compile_s", median(setMillis_) / 1e3, "s");
-            outcome.set("request_ms_p50", median(requestMs_), "ms");
-            outcome.set("request_ms_p99", quantile(requestMs_, 0.99),
+            outcome.set("request_ms_p50", median(request_ms), "ms");
+            outcome.set("request_ms_p99", quantile(request_ms, 0.99),
                         "ms");
             outcome.set("exec_cycles", geomean(c.execCycles), "cycles");
             outcome.set("lifetime_cycles", geomean(c.lifetimeCycles),
@@ -213,8 +210,8 @@ class CompileSetWorkload : public Workload
                     "ratio");
         outcome.set("place_local.main_tasks", c.mainTasks, "count");
         outcome.set("place_local.sync_tasks", c.syncTasks, "count");
-        outcome.set("place_local.qpu_max_ms", c.qpuMaxMs, "ms");
-        outcome.set("place_local.qpu_sum_ms", c.qpuSumMs, "ms");
+        outcome.set("place_local.qpu_max_ms", median(qpuMaxMs_), "ms");
+        outcome.set("place_local.qpu_sum_ms", median(qpuSumMs_), "ms");
         outcome.set("schedule_list.makespan_slots", c.makespanSlots,
                     "count");
         outcome.set("refine_bdir.accept_ratio",
@@ -248,6 +245,33 @@ class CompileSetWorkload : public Workload
     const Args &args_;
 
   private:
+    /**
+     * Re-issue the public single-QPU compiler once per partition
+     * part, sequentially and after the traced rep, so the slowest
+     * part's share of PlaceLocal (whose parts run in parallel) is
+     * visible from outside the pass. Per rep: the slowest part of
+     * each program and all parts, summed over the set.
+     */
+    void
+    reissueLocalCompiles()
+    {
+        double max_ms = 0, sum_ms = 0;
+        for (const CompileJob &job : jobs_) {
+            const SingleQpuCompiler compiler(job.local);
+            double job_max = 0;
+            for (const auto &[sub, sub_deps] : job.parts) {
+                const auto start = Clock::now();
+                (void)compiler.compile(sub, sub_deps);
+                const double ms = msSince(start);
+                job_max = std::max(job_max, ms);
+                sum_ms += ms;
+            }
+            max_ms += job_max;
+        }
+        qpuMaxMs_.push_back(max_ms);
+        qpuSumMs_.push_back(sum_ms);
+    }
+
     Expected<CompileReport>
     compileJob(CompileJob &job, Tracer *tracer)
     {
@@ -303,10 +327,6 @@ class CompileSetWorkload : public Workload
             const std::string why = checkBaseline(report, graph, deps);
             if (!why.empty())
                 outcome.fail(job.label + ": " + why);
-            c.execCycles.push_back(
-                std::max(1, report.baseline->executionTime()));
-            c.lifetimeCycles.push_back(
-                std::max(1, report.baseline->requiredLifetime()));
             return;
         }
         LayerSchedulingProblem lsp;
@@ -327,14 +347,14 @@ class CompileSetWorkload : public Workload
         c.lifetimeCycles.push_back(std::max(1, result.requiredLifetime()));
         readBdirNote(report, config.bdir.maxIterations, c);
         if (args_.trace)
-            reissueLocalCompiles(graph, deps, result.partition, config, c);
+            keepLocalParts(graph, deps, result.partition, config, job);
     }
 
     std::vector<CompileJob> jobs_;
     std::unique_ptr<TraceObserver> observer_;
     Counters counters_;
     std::vector<double> setMillis_;
-    std::vector<double> requestMs_;
+    std::vector<double> qpuMaxMs_, qpuSumMs_;
     std::vector<LayerMillis> tracedSelf_;
 };
 

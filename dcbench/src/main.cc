@@ -30,7 +30,7 @@ namespace
 {
 
 /** Set-up repetitions; setup_s is their median. */
-constexpr int kSetupReps = 5;
+constexpr int kSetupReps = 7;
 
 /** Measured reps run at least this often, whatever --seconds says. */
 constexpr int kMinReps = 3;
