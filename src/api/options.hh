@@ -8,8 +8,7 @@
  *
  *  - `partition.k` always follows `numQpus`: the adaptive
  *    partitioner must produce exactly one part per QPU, so any
- *    user-supplied `partition.k` is overwritten. The old
- *    `DcMbqcCompiler` constructor did this silently; the driver
+ *    user-supplied `partition.k` is overwritten; the driver
  *    surfaces it as a report warning when the values disagree.
  *  - `seed(s)` plumbs one seed into both stochastic passes
  *    (adaptive partitioning and BDIR annealing) so a whole batch
@@ -41,7 +40,7 @@ class CompileOptions
     /** Starts from the paper's Section V-A defaults. */
     CompileOptions() = default;
 
-    /** Adopt an existing low-level config (shim entry path). */
+    /** Adopt an existing low-level config (service job path). */
     static CompileOptions fromConfig(const DcMbqcConfig &config);
 
     /** Adopt a baseline config (grid + placement order, 1 QPU). */

@@ -3,8 +3,8 @@
  * Construction of the Layer Scheduling Problem instance from a
  * partitioned computation graph: per-part single-QPU compilation,
  * main-task extraction, and connector/synchronization task
- * derivation from the cut edges. Shared by the pass-based driver
- * (PlaceLocalPass) and the legacy `DcMbqcCompiler::buildLsp` shim.
+ * derivation from the cut edges. Used by the pass-based driver
+ * (PlaceLocalPass) and by tests that rebuild a compile's instance.
  */
 
 #ifndef DCMBQC_CORE_LSP_BUILDER_HH

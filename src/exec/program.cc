@@ -44,6 +44,10 @@ ExecProgram::fromRequest(const CompileRequest &request)
     switch (request.entryPoint()) {
       case CompileRequest::EntryPoint::Circuit:
         return fromCircuit(request.circuit(), request.label());
+      case CompileRequest::EntryPoint::CircuitStream:
+        // Streams are replayable: materialize rewinds and drains.
+        return fromCircuit(request.stream().materialize(),
+                           request.label());
       case CompileRequest::EntryPoint::Pattern:
         return fromPattern(request.pattern(), request.label());
       case CompileRequest::EntryPoint::Graph:

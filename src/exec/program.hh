@@ -51,7 +51,8 @@ class ExecProgram
 
     /**
      * Build from a compile request, reusing its entry-point payload
-     * (the driver's compileAndExecute path).
+     * (the driver's compileAndExecute path). A circuit stream is
+     * materialized.
      */
     static ExecProgram fromRequest(const CompileRequest &request);
 

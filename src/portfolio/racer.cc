@@ -66,6 +66,9 @@ scoreSchedule(const CompileRequest &request,
         deps_storage = realTimeDependencyGraph(*report.pattern);
         deps = &deps_storage;
         break;
+      case CompileRequest::EntryPoint::CircuitStream:
+        return Status::invalidArgument(
+            "portfolio candidates cannot be scored on a circuit stream");
     }
 
     auto times =
@@ -104,6 +107,11 @@ PortfolioRacer::race(const CompileRequest &request) const
     status = request.validate();
     if (!status.ok())
         return status;
+    // Candidates compile concurrently; a stream has one cursor.
+    if (request.entryPoint() == CompileRequest::EntryPoint::CircuitStream)
+        return Status::invalidArgument(
+            "portfolio racing needs a materialized program, not a "
+            "circuit stream");
     const CancellationToken *parent = request.cancellation();
     if (parent) {
         status = parent->check();

@@ -71,7 +71,8 @@ class PortfolioRacer
      * key, stages, pattern — everything a K=1 compile would carry).
      * Fails only when every candidate fails (first candidate's
      * status, so a base-config error reads naturally) or when the
-     * request/base options are invalid.
+     * request/base options are invalid. A circuit-stream request is
+     * rejected: the candidates would share its one cursor.
      *
      * Scoring model: the base options' noise config when it is
      * non-vacuous, else a built-in reference budget (delay-line

@@ -305,13 +305,22 @@ decodeCircuit(BinaryReader &reader)
         }
         gate.kind = static_cast<GateKind>(kind);
         const QubitId used[3] = {gate.q0, gate.q1, gate.q2};
-        bool valid = true;
-        for (int q = 0; q < gate.arity(); ++q)
+        bool valid = true, distinct = true;
+        for (int q = 0; q < gate.arity(); ++q) {
             valid &= used[q] >= 0 && used[q] < qubits;
+            for (int p = 0; p < q; ++p)
+                distinct &= used[p] != used[q];
+        }
         if (!valid) {
             reader.fail("gate " + std::to_string(i) +
                         " addresses a qubit outside [0, " +
                         std::to_string(qubits) + ")");
+            break;
+        }
+        // Circuit::append asserts distinct operands; reject first.
+        if (!distinct) {
+            reader.fail("gate " + std::to_string(i) +
+                        " names the same qubit twice");
             break;
         }
         circuit.append(gate);

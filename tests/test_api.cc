@@ -242,54 +242,6 @@ TEST(CompilerDriverApi, ObserverSeesEveryPassInOrder)
         EXPECT_EQ(observer.order[i], report->stages[i].pass);
 }
 
-// --- Shim equivalence -----------------------------------------------------
-
-TEST(CompilerDriverApi, ShimMatchesDriverOnQft)
-{
-    const Circuit circuit = makeQft(8);
-    const Pattern pattern = buildPattern(circuit);
-    const Digraph deps = realTimeDependencyGraph(pattern);
-    const int grid = gridSizeForQubits(8);
-
-    DcMbqcConfig config;
-    config.numQpus = 4;
-    config.grid.size = grid;
-
-    // Old entry point (deprecated shim).
-    const auto old_result =
-        DcMbqcCompiler(config).compile(pattern.graph(), deps);
-
-    // New driver with identical options.
-    auto report =
-        CompilerDriver(CompileOptions::fromConfig(config))
-            .compile(CompileRequest::fromGraph(pattern.graph(), deps));
-    ASSERT_TRUE(report.ok());
-    const auto &new_result = report->result();
-
-    EXPECT_EQ(old_result.executionTime(),
-              new_result.executionTime());
-    EXPECT_EQ(old_result.requiredLifetime(),
-              new_result.requiredLifetime());
-    EXPECT_EQ(old_result.partition.assignment(),
-              new_result.partition.assignment());
-    EXPECT_EQ(old_result.numConnectors, new_result.numConnectors);
-
-    // Baseline shim vs driver baseline.
-    SingleQpuConfig base_config;
-    base_config.grid.size = grid;
-    const auto old_base =
-        compileBaseline(pattern.graph(), deps, base_config);
-    auto base_report =
-        CompilerDriver(CompileOptions::fromConfig(base_config))
-            .compileBaseline(
-                CompileRequest::fromGraph(pattern.graph(), deps));
-    ASSERT_TRUE(base_report.ok());
-    EXPECT_EQ(old_base.executionTime(),
-              base_report->baselineResult().executionTime());
-    EXPECT_EQ(old_base.requiredLifetime(),
-              base_report->baselineResult().requiredLifetime());
-}
-
 // --- Batch compilation ----------------------------------------------------
 
 TEST(CompilerDriverApi, BatchMatchesSequential)

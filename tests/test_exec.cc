@@ -15,6 +15,7 @@
 
 #include "api/api.hh"
 #include "circuit/generators.hh"
+#include "circuit/huge_generators.hh"
 #include "noise/analysis.hh"
 #include "serialize/codecs.hh"
 #include "serialize/json.hh"
@@ -413,6 +414,18 @@ TEST(ExecDriver, CompileAndExecuteRecordsStagesAndStatistics)
     EXPECT_GE(mc.analyticSuccessProbability, 0.0);
     EXPECT_LE(mc.analyticSuccessProbability, 1.0);
     EXPECT_GT(mc.maxStorageCycles, 0);
+}
+
+TEST(ExecDriver, ProgramFromStreamRequestMaterializesTheStream)
+{
+    const auto stream = makeGraphStateStream(2, 3);
+    const ExecProgram streamed = ExecProgram::fromRequest(
+        CompileRequest::fromCircuitStream(stream, "lattice"));
+    const ExecProgram direct =
+        ExecProgram::fromCircuit(stream->materialize(), "lattice");
+    EXPECT_EQ(streamed.label(), "lattice");
+    EXPECT_EQ(streamed.pattern().numNodes(), direct.pattern().numNodes());
+    EXPECT_EQ(streamed.graph().numEdges(), direct.graph().numEdges());
 }
 
 TEST(ExecDriver, CompileAndExecuteRejectsBadInputsViaStatus)

@@ -17,6 +17,7 @@
 #include "api/cancellation.hh"
 #include "cache/compile_cache.hh"
 #include "circuit/generators.hh"
+#include "circuit/huge_generators.hh"
 #include "portfolio/racer.hh"
 #include "portfolio/strategy.hh"
 #include "serialize/codecs.hh"
@@ -182,6 +183,23 @@ TEST(PortfolioDriver, PreCancelledParentAbortsTheRace)
     auto report = driver.compile(request);
     ASSERT_FALSE(report.ok());
     EXPECT_EQ(report.status().code(), StatusCode::Cancelled);
+}
+
+TEST(PortfolioDriver, CircuitStreamRequestIsRejected)
+{
+    // Racers would share the stream's one cursor.
+    const CompileRequest request =
+        CompileRequest::fromCircuitStream(makeGraphStateStream(4, 4));
+    const CompilerDriver driver(baseOptions().portfolio(4));
+    auto report = driver.compile(request);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::InvalidArgument);
+
+    RaceConfig config;
+    config.candidates = 4;
+    auto outcome = PortfolioRacer(baseOptions(), config).race(request);
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), StatusCode::InvalidArgument);
 }
 
 TEST(PortfolioRacerApi, ZeroGraceCancelsStragglersDeterministically)

@@ -376,6 +376,30 @@ TEST(SerializeReject, PatternDependencyTamperDetected)
     EXPECT_FALSE(decodePatternArtifact(resealed).ok());
 }
 
+TEST(SerializeReject, CircuitGateOnRepeatedQubits)
+{
+    // Re-sealed payloads that Circuit::append would assert on: a
+    // CNOT naming one qubit twice and a Toffoli repeating its
+    // control as target.
+    for (const GateKind kind : {GateKind::CNOT, GateKind::CCX}) {
+        BinaryWriter writer;
+        writer.writeI32(3);
+        writer.writeString("repeated");
+        writer.writeU32(1);
+        writer.writeU8(static_cast<std::uint8_t>(kind));
+        writer.writeI32(1);
+        writer.writeI32(kind == GateKind::CNOT ? 1 : 2);
+        writer.writeI32(1);
+        writer.writeF64(0.0);
+        auto decoded = decodeCircuitArtifact(
+            sealArtifact(ArtifactKind::Circuit, writer.bytes()));
+        ASSERT_FALSE(decoded.ok());
+        EXPECT_EQ(decoded.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(decoded.status().message().find("same qubit"),
+                  std::string::npos);
+    }
+}
+
 TEST(SerializeReject, ReportWithoutResultPayload)
 {
     // A handcrafted report whose flags byte claims neither a

@@ -23,13 +23,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "api/api.hh"
@@ -37,15 +34,16 @@
 #include "circuit/generators.hh"
 #include "circuit/huge_generators.hh"
 #include "common/table.hh"
+#include "flags.hh"
 #include "noise/config_io.hh"
 #include "photonic/grid.hh"
-#include "photonic/resource_state.hh"
 #include "serialize/codecs.hh"
 #include "serialize/json.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
 
 using namespace dcmbqc;
+using cli::Flags;
 
 namespace
 {
@@ -53,46 +51,7 @@ namespace
 int
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage:\n"
-        "  dcmbqc compile (--family qft|qaoa|vqe|rca|clifford "
-        "--qubits N | --in CIRCUIT.dcmbqc\n"
-        "                  | --stream-family graphstate|deepqaoa"
-        "|cliffordt\n"
-        "                    [--rows R --cols C | --qubits N "
-        "[--depth L | --gates G]])\n"
-        "                 [--window N]\n"
-        "                 [-o REPORT.dcmbqc] [--qpus N] [--grid L] "
-        "[--kmax K]\n"
-        "                 [--seed S] [--pl-ratio R] [--resource-state "
-        "ring4|star5|ring6|star7]\n"
-        "                 [--no-bdir] [--baseline] [--label NAME]\n"
-        "                 [--noise NOISE.json|.dcmbqc] "
-        "[--portfolio K]\n"
-        "                 [--cache-dir DIR] [--save-circuit "
-        "FILE.dcmbqc] [--quiet]\n"
-        "                 [--daemon SOCK [--autostart] "
-        "[--deadline-ms N] [--progress]]\n"
-        "  dcmbqc run     ARTIFACT.dcmbqc (circuit or pattern)\n"
-        "                 [--backend statevector|stabilizer|mc-loss"
-        "|schedule|all]\n"
-        "                 [--shots N] [--exec-seed S] [--threads N] "
-        "[--raw]\n"
-        "                 [--cycle-ns X] [--qpus N] [--grid L] "
-        "[--kmax K]\n"
-        "                 [--seed S] [--pl-ratio R] [--no-bdir] "
-        "[--baseline]\n"
-        "                 [--noise NOISE.json|.dcmbqc] "
-        "[--cache-dir DIR]\n"
-        "                 [--portfolio K] [-o REPORT.dcmbqc] "
-        "[--quiet]\n"
-        "                 [--daemon SOCK [--autostart] "
-        "[--deadline-ms N] [--progress]]\n"
-        "  dcmbqc inspect FILE.dcmbqc\n"
-        "  dcmbqc stats   FILE.dcmbqc\n"
-        "  dcmbqc stats   --daemon SOCK [--json]\n"
-        "  dcmbqc stats   --cache-dir DIR\n");
+    cli::printUsage(cli::Compile | cli::Run | cli::Inspect | cli::Stats);
     return 2;
 }
 
@@ -103,46 +62,52 @@ fail(const Status &status)
     return 1;
 }
 
-bool
-parseInt(const char *text, int &out)
+/**
+ * Load an artifact file, decode it by its kind, and pass the view
+ * and the decoded value to `visit`: the one map from artifact kinds
+ * to decoders. Returns `visit`'s Status or the load/decode failure.
+ */
+template <typename Visit>
+Status
+visitArtifact(const std::string &path, Visit &&visit)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long value = std::strtol(text, &end, 10);
-    // Out-of-range values are an error, not a silent wrap: a
-    // truncated --seed would quietly run a different experiment.
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        value < INT_MIN || value > INT_MAX)
-        return false;
-    out = static_cast<int>(value);
-    return true;
+    auto bytes = loadArtifactFile(path);
+    if (!bytes.ok())
+        return bytes.status();
+    auto view = openArtifact(*bytes);
+    if (!view.ok())
+        return view.status();
+    const auto apply = [&](auto decoded) -> Status {
+        if (!decoded.ok())
+            return decoded.status();
+        return visit(*view, std::move(decoded.value()));
+    };
+    switch (view->kind) {
+      case ArtifactKind::Circuit:
+        return apply(decodeCircuitArtifact(*bytes));
+      case ArtifactKind::Graph:
+        return apply(decodeGraphArtifact(*bytes));
+      case ArtifactKind::Digraph:
+        return apply(decodeDigraphArtifact(*bytes));
+      case ArtifactKind::Pattern:
+        return apply(decodePatternArtifact(*bytes));
+      case ArtifactKind::Config:
+        return apply(decodeConfigArtifact(*bytes));
+      case ArtifactKind::LocalSchedule:
+        return apply(decodeLocalScheduleArtifact(*bytes));
+      case ArtifactKind::Schedule:
+        return apply(decodeScheduleArtifact(*bytes));
+      case ArtifactKind::CompileReport:
+        return apply(decodeCompileReportArtifact(*bytes));
+      case ArtifactKind::ExecResult:
+        return apply(decodeExecResultArtifact(*bytes));
+      case ArtifactKind::NoiseConfig:
+        return apply(decodeNoiseConfigArtifact(*bytes));
+    }
+    return Status::invalidArgument("unsupported artifact kind");
 }
 
-/** Full-range u64 parser for --seed (CompileOptions takes u64). */
-bool
-parseU64(const char *text, std::uint64_t &out)
-{
-    if (text[0] == '-' || text[0] == '\0')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        return false;
-    out = static_cast<std::uint64_t>(value);
-    return true;
-}
-
-bool
-parseResourceState(const std::string &name, ResourceStateType &out)
-{
-    if (name == "ring4") out = ResourceStateType::Ring4;
-    else if (name == "star5") out = ResourceStateType::Star5;
-    else if (name == "ring6") out = ResourceStateType::Ring6;
-    else if (name == "star7") out = ResourceStateType::Star7;
-    else return false;
-    return true;
-}
+// --- program input ---------------------------------------------------------
 
 Expected<Circuit>
 makeFamilyCircuit(const std::string &family, int qubits,
@@ -174,16 +139,157 @@ makeFamilyCircuit(const std::string &family, int qubits,
         "' (expected qft|qaoa|vqe|rca|clifford)");
 }
 
-// --- daemon mode -----------------------------------------------------------
-
-/** Shared --daemon flag set of the compile and run subcommands. */
-struct DaemonOptions
+Expected<Circuit>
+loadCircuit(const std::string &path)
 {
-    std::string socket;
-    bool autostart = false;
-    int deadlineMillis = 0;
-    bool progress = false;
-};
+    auto bytes = loadArtifactFile(path);
+    if (!bytes.ok())
+        return bytes.status();
+    return decodeCircuitArtifact(*bytes);
+}
+
+/** One of the O(1)-state huge-circuit streams. */
+Expected<std::shared_ptr<CircuitStream>>
+makeStream(const Flags &flags)
+{
+    const std::string &family = flags.streamFamily;
+    if (family == "graphstate") {
+        if (flags.rows < 1 || flags.cols < 1)
+            return Status::invalidArgument(
+                "--stream-family graphstate needs --rows and "
+                "--cols (lattice shape)");
+        return makeGraphStateStream(flags.rows, flags.cols);
+    }
+    if (family == "deepqaoa") {
+        if (flags.qubits < 3 || flags.depth < 1)
+            return Status::invalidArgument(
+                "--stream-family deepqaoa needs --qubits >= 3 "
+                "and --depth (QAOA layers)");
+        return makeDeepQaoaStream(flags.qubits, flags.depth,
+                                  flags.seed);
+    }
+    if (family == "cliffordt") {
+        if (flags.qubits < 1 || flags.gates == 0)
+            return Status::invalidArgument(
+                "--stream-family cliffordt needs --qubits and "
+                "--gates (total gate count)");
+        return makeRandomCliffordTStream(flags.qubits, flags.gates,
+                                         flags.seed);
+    }
+    return Status::invalidArgument(
+        "unknown stream family '" + family +
+        "' (expected graphstate, deepqaoa, or cliffordt)");
+}
+
+/** The program `compile` names: a family, a circuit file, or a stream. */
+Expected<CompileRequest>
+compileInput(const Flags &flags)
+{
+    const auto named = [&](const std::string &name) {
+        return flags.label.empty() ? name : flags.label;
+    };
+    if (!flags.streamFamily.empty()) {
+        auto stream = makeStream(flags);
+        if (!stream.ok())
+            return stream.status();
+        const std::string label = named((*stream)->name());
+        return CompileRequest::fromCircuitStream(*stream, label);
+    }
+    auto circuit = flags.in.empty()
+        ? makeFamilyCircuit(flags.family, flags.qubits, flags.seed)
+        : loadCircuit(flags.in);
+    if (!circuit.ok())
+        return circuit.status();
+    const std::string label = named(circuit->name());
+    return CompileRequest::fromCircuit(std::move(circuit.value()), label);
+}
+
+/** The program `run` executes: a circuit or pattern artifact. */
+Expected<CompileRequest>
+runInput(const std::string &path)
+{
+    std::optional<CompileRequest> request;
+    const Status status = visitArtifact(
+        path, [&](const ArtifactView &view, auto &&value) {
+            using T = std::decay_t<decltype(value)>;
+            if constexpr (std::is_same_v<T, Circuit>)
+                request = CompileRequest::fromCircuit(std::move(value), path);
+            else if constexpr (std::is_same_v<T, Pattern>)
+                request = CompileRequest::fromPattern(std::move(value), path);
+            else
+                return Status::invalidArgument(
+                    std::string("run executes circuit or pattern "
+                                "artifacts; '") +
+                    artifactKindName(view.kind) +
+                    "' carries no program semantics");
+            return Status();
+        });
+    if (!status.ok())
+        return status;
+    return std::move(*request);
+}
+
+/** Qubits (pattern wires) that size the default grid. */
+int
+programQubits(const CompileRequest &request)
+{
+    switch (request.entryPoint()) {
+      case CompileRequest::EntryPoint::Circuit:
+        return request.circuit().numQubits();
+      case CompileRequest::EntryPoint::CircuitStream:
+        return request.stream().numQubits();
+      case CompileRequest::EntryPoint::Pattern:
+        return request.pattern().numWires();
+      case CompileRequest::EntryPoint::Graph:
+        break;
+    }
+    return 0;
+}
+
+/**
+ * The CompileOptions the flags ask for: the grid defaults to
+ * gridSizeForQubits(`qubits`), --noise is loaded, and --cache-dir
+ * opens an in-process cache unless a daemon serves the job.
+ */
+Expected<CompileOptions>
+compileOptions(const Flags &flags, int qubits)
+{
+    CompileOptions options;
+    options.numQpus(flags.baseline ? 1 : flags.qpus)
+        .kmax(flags.kmax)
+        .gridSize(flags.grid > 0 ? flags.grid
+                                 : gridSizeForQubits(qubits))
+        .resourceState(flags.resourceState)
+        .useBdir(!flags.noBdir)
+        .seed(flags.seed);
+    if (flags.plRatio > 0)
+        options.plRatio(flags.plRatio);
+    if (!flags.noise.empty()) {
+        auto loaded = loadNoiseConfigFile(flags.noise);
+        if (!loaded.ok())
+            return loaded.status();
+        options.noise(std::move(loaded.value()));
+    }
+    if (flags.portfolio > 1) {
+        if (flags.baseline)
+            return Status::invalidArgument(
+                "--portfolio needs the distributed pipeline; drop "
+                "--baseline");
+        options.portfolio(flags.portfolio);
+    }
+    // Set even when negative: CompileOptions::validate vets it, so
+    // a bad --window comes back as one InvalidConfig status.
+    if (flags.window != 0)
+        options.window(flags.window);
+    if (!flags.cacheDir.empty() && flags.daemon.empty()) {
+        CacheConfig cache_config;
+        cache_config.diskDir = flags.cacheDir;
+        options.cache(std::make_shared<CompileCache>(cache_config));
+    }
+    return options;
+}
+
+// --- compiling, in-process or on the daemon --------------------------------
 
 /**
  * The daemon executable to autostart: the `dcmbqcd` binary next to
@@ -209,33 +315,66 @@ daemonExecutable()
     return "dcmbqcd";
 }
 
+/**
+ * Connect to --daemon, spawning it first under --autostart. Without
+ * --daemon the client stays unconnected and jobs run in-process.
+ */
 Status
-connectDaemon(ServiceClient &client, const DaemonOptions &daemon,
-              const std::string &cache_dir)
+connectDaemon(ServiceClient &client, const Flags &flags)
 {
-    if (!daemon.autostart)
-        return client.connect(daemon.socket);
+    if (flags.daemon.empty())
+        return Status();
+    if (!flags.autostart)
+        return client.connect(flags.daemon);
     std::vector<std::string> argv = {daemonExecutable(), "--socket",
-                                     daemon.socket, "--quiet"};
-    if (!cache_dir.empty()) {
+                                     flags.daemon, "--quiet"};
+    if (!flags.cacheDir.empty()) {
         argv.push_back("--cache-dir");
-        argv.push_back(cache_dir);
+        argv.push_back(flags.cacheDir);
     }
-    return client.connectOrStart(daemon.socket, argv);
+    return client.connectOrStart(flags.daemon, argv);
 }
 
 /**
- * One compile round trip against the daemon, with progress echo.
- * Compile-only jobs go through the probe-first path: a warm daemon
- * answers the 16-byte content-address probe with the raw artifact
- * instead of making the client re-ship the request IR.
+ * Compile `request` on the daemon when `client` is connected, else
+ * in-process. A daemon job then runs `backends`; compile-only jobs
+ * go through the probe-first path, so a warm daemon answers the
+ * 16-byte content-address probe with the raw artifact instead of
+ * making the client re-ship the request IR.
  */
 Expected<ClientCompileResult>
-daemonCompile(ServiceClient &client, const ServiceJob &job,
-              bool quiet)
+compileJob(const Flags &flags, const CompileOptions &options,
+           const CompileRequest &request, ServiceClient &client,
+           std::vector<ExecOptions> backends = {}, bool progress = true)
 {
+    if (!client.connected()) {
+        const CompilerDriver driver(options);
+        auto report = flags.baseline ? driver.compileBaseline(request)
+                                     : driver.compile(request);
+        if (!report.ok())
+            return report.status();
+        const bool hit = report->cacheHit;
+        return ClientCompileResult{std::move(report.value()), hit};
+    }
+    auto config = options.build();
+    if (!config.ok())
+        return config.status();
+    ServiceJob job;
+    job.request = request;
+    job.config = *config;
+    job.baseline = flags.baseline;
+    job.deadlineMillis =
+        static_cast<std::uint32_t>(std::max(0, flags.deadlineMs));
+    job.streamProgress = flags.progress && progress;
+    job.backends = std::move(backends);
+    job.noise = options.noiseConfig();
+    job.portfolio =
+        static_cast<std::uint32_t>(flags.portfolio > 1 ? flags.portfolio
+                                                       : 0);
+    job.window = static_cast<std::uint32_t>(std::max(0, flags.window));
+
     const auto echo = [&](const ProgressEvent &event) {
-        if (quiet)
+        if (flags.quiet)
             return;
         if (event.window) {
             std::printf("  [daemon] %-14s window %u: %llu",
@@ -260,7 +399,7 @@ daemonCompile(ServiceClient &client, const ServiceJob &job,
                  : nullptr);
 }
 
-// --- compile ---------------------------------------------------------------
+// --- reporting -------------------------------------------------------------
 
 /** Render a portfolio race table (winner marked with '*'). */
 void
@@ -293,398 +432,65 @@ printPortfolioTable(const PortfolioReport &race)
         std::printf("  %s\n", race.validationNote.c_str());
 }
 
+/**
+ * The one tail of `compile` and `run`, wherever the report came
+ * from: write the -o artifact, then print the report's summary.
+ */
 int
-runCompile(const std::vector<std::string> &args)
+finish(const Flags &flags, const ClientCompileResult &served)
 {
-    std::string family, circuit_in, out_path, label, cache_dir;
-    std::string save_circuit, noise_path, stream_family;
-    int qubits = 0, qpus = 4, grid = 0, kmax = 4, pl_ratio = 0;
-    int portfolio = 1, window = 0, rows = 0, cols = 0, depth = 0;
-    std::uint64_t stream_gates = 0;
-    std::uint64_t seed = 1;
-    ResourceStateType state = ResourceStateType::Star5;
-    bool use_bdir = true, baseline = false, quiet = false;
-    DaemonOptions daemon;
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        const auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= args.size()) {
-                std::fprintf(stderr, "dcmbqc: %s needs a value\n",
-                             flag);
-                return nullptr;
-            }
-            return args[++i].c_str();
-        };
-        if (arg == "--family") {
-            const char *v = next("--family");
-            if (!v) return 2;
-            family = v;
-        } else if (arg == "--in") {
-            const char *v = next("--in");
-            if (!v) return 2;
-            circuit_in = v;
-        } else if (arg == "--stream-family") {
-            const char *v = next("--stream-family");
-            if (!v) return 2;
-            stream_family = v;
-        } else if (arg == "--gates") {
-            const char *v = next("--gates");
-            if (!v) return 2;
-            if (!parseU64(v, stream_gates)) {
-                std::fprintf(stderr,
-                             "dcmbqc: --gates expects an unsigned "
-                             "64-bit integer, got '%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (arg == "-o" || arg == "--out") {
-            const char *v = next("-o");
-            if (!v) return 2;
-            out_path = v;
-        } else if (arg == "--label") {
-            const char *v = next("--label");
-            if (!v) return 2;
-            label = v;
-        } else if (arg == "--cache-dir") {
-            const char *v = next("--cache-dir");
-            if (!v) return 2;
-            cache_dir = v;
-        } else if (arg == "--save-circuit") {
-            const char *v = next("--save-circuit");
-            if (!v) return 2;
-            save_circuit = v;
-        } else if (arg == "--noise") {
-            const char *v = next("--noise");
-            if (!v) return 2;
-            noise_path = v;
-        } else if (arg == "--resource-state") {
-            const char *v = next("--resource-state");
-            if (!v) return 2;
-            if (!parseResourceState(v, state)) {
-                std::fprintf(stderr,
-                             "dcmbqc: unknown resource state '%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (arg == "--seed") {
-            const char *v = next("--seed");
-            if (!v) return 2;
-            if (!parseU64(v, seed)) {
-                std::fprintf(stderr,
-                             "dcmbqc: --seed expects an unsigned "
-                             "64-bit integer, got '%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (arg == "--no-bdir") {
-            use_bdir = false;
-        } else if (arg == "--baseline") {
-            baseline = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--daemon") {
-            const char *v = next("--daemon");
-            if (!v) return 2;
-            daemon.socket = v;
-        } else if (arg == "--autostart") {
-            daemon.autostart = true;
-        } else if (arg == "--progress") {
-            daemon.progress = true;
-        } else {
-            int *slot = nullptr;
-            if (arg == "--qubits") slot = &qubits;
-            else if (arg == "--qpus") slot = &qpus;
-            else if (arg == "--grid") slot = &grid;
-            else if (arg == "--kmax") slot = &kmax;
-            else if (arg == "--pl-ratio") slot = &pl_ratio;
-            else if (arg == "--portfolio") slot = &portfolio;
-            else if (arg == "--window") slot = &window;
-            else if (arg == "--rows") slot = &rows;
-            else if (arg == "--cols") slot = &cols;
-            else if (arg == "--depth") slot = &depth;
-            else if (arg == "--deadline-ms")
-                slot = &daemon.deadlineMillis;
-            if (!slot) {
-                std::fprintf(stderr,
-                             "dcmbqc: unknown option '%s'\n",
-                             arg.c_str());
-                return usage();
-            }
-            const char *v = next(arg.c_str());
-            if (!v) return 2;
-            if (!parseInt(v, *slot)) {
-                std::fprintf(stderr,
-                             "dcmbqc: %s expects an integer, got "
-                             "'%s'\n",
-                             arg.c_str(), v);
-                return 2;
-            }
-        }
-    }
-
-    const int sources = (family.empty() ? 0 : 1) +
-        (circuit_in.empty() ? 0 : 1) + (stream_family.empty() ? 0 : 1);
-    if (sources != 1) {
-        std::fprintf(stderr,
-                     "dcmbqc: compile needs exactly one of --family, "
-                     "--in, or --stream-family\n");
-        return usage();
-    }
-
-    // Obtain the input: generator family (materialized), serialized
-    // artifact, or one of the O(1)-state huge-circuit streams.
-    std::optional<Circuit> circuit;
-    std::shared_ptr<CircuitStream> stream;
-    if (!stream_family.empty()) {
-        if (stream_family == "graphstate") {
-            if (rows < 1 || cols < 1)
-                return fail(Status::invalidArgument(
-                    "--stream-family graphstate needs --rows and "
-                    "--cols (lattice shape)"));
-            stream = makeGraphStateStream(rows, cols);
-        } else if (stream_family == "deepqaoa") {
-            if (qubits < 3 || depth < 1)
-                return fail(Status::invalidArgument(
-                    "--stream-family deepqaoa needs --qubits >= 3 "
-                    "and --depth (QAOA layers)"));
-            stream = makeDeepQaoaStream(qubits, depth, seed);
-        } else if (stream_family == "cliffordt") {
-            if (qubits < 1 || stream_gates == 0)
-                return fail(Status::invalidArgument(
-                    "--stream-family cliffordt needs --qubits and "
-                    "--gates (total gate count)"));
-            stream = makeRandomCliffordTStream(qubits, stream_gates,
-                                               seed);
-        } else {
-            return fail(Status::invalidArgument(
-                "unknown stream family '" + stream_family +
-                "' (expected graphstate, deepqaoa, or cliffordt)"));
-        }
-    } else if (!family.empty()) {
-        auto made = makeFamilyCircuit(
-            family, qubits, seed);
-        if (!made.ok())
-            return fail(made.status());
-        circuit = std::move(made.value());
-    } else {
-        auto bytes = loadArtifactFile(circuit_in);
-        if (!bytes.ok())
-            return fail(bytes.status());
-        auto decoded = decodeCircuitArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        circuit = std::move(decoded.value());
-    }
-
-    if (!save_circuit.empty()) {
+    const CompileReport &report = served.report;
+    if (!flags.out.empty()) {
         const Status saved = saveArtifactFile(
-            save_circuit,
-            encodeCircuitArtifact(stream ? stream->materialize()
-                                         : *circuit));
+            flags.out, encodeCompileReportArtifact(report));
         if (!saved.ok())
             return fail(saved);
-        if (!quiet)
-            std::printf("wrote circuit artifact %s\n",
-                        save_circuit.c_str());
     }
-
-    std::optional<NoiseConfig> noise;
-    if (!noise_path.empty()) {
-        auto loaded = loadNoiseConfigFile(noise_path);
-        if (!loaded.ok())
-            return fail(loaded.status());
-        noise = std::move(loaded.value());
-    }
-
-    const int input_qubits =
-        stream ? stream->numQubits() : circuit->numQubits();
-    CompileOptions options;
-    options.numQpus(baseline ? 1 : qpus)
-        .kmax(kmax)
-        .gridSize(grid > 0 ? grid : gridSizeForQubits(input_qubits))
-        .resourceState(state)
-        .useBdir(use_bdir)
-        .seed(seed);
-    if (pl_ratio > 0)
-        options.plRatio(pl_ratio);
-    if (portfolio > 1) {
-        if (baseline)
-            return fail(Status::invalidArgument(
-                "--portfolio needs the distributed pipeline; drop "
-                "--baseline"));
-        options.portfolio(portfolio);
-    }
-    // Set even when negative: the value is vetted by
-    // CompileOptions::validate, so a bad --window comes back as one
-    // InvalidConfig status instead of a CLI special case.
-    if (window != 0)
-        options.window(window);
-    if (noise)
-        options.noise(*noise);
-    std::shared_ptr<CompileCache> cache;
-    if (!cache_dir.empty() && daemon.socket.empty()) {
-        CacheConfig cache_config;
-        cache_config.diskDir = cache_dir;
-        cache = std::make_shared<CompileCache>(cache_config);
-        options.cache(cache);
-    }
-
-    // Daemon mode: ship the job to dcmbqcd and let it compile
-    // against its shared hot cache. --cache-dir is not opened here;
-    // it configures the store of an --autostart'ed daemon.
-    if (!daemon.socket.empty()) {
-        auto config = options.build();
-        if (!config.ok())
-            return fail(config.status());
-        ServiceJob job;
-        job.request = stream
-            ? CompileRequest::fromCircuitStream(
-                  stream, label.empty() ? stream->name() : label)
-            : CompileRequest::fromCircuit(
-                  *circuit, label.empty() ? circuit->name() : label);
-        job.config = *config;
-        job.baseline = baseline;
-        job.deadlineMillis = daemon.deadlineMillis > 0
-            ? static_cast<std::uint32_t>(daemon.deadlineMillis)
-            : 0;
-        job.streamProgress = daemon.progress;
-        job.noise = noise;
-        job.portfolio = portfolio > 1
-            ? static_cast<std::uint32_t>(portfolio)
-            : 0;
-        job.window = window > 0 ? static_cast<std::uint32_t>(window)
-                                : 0;
-
-        ServiceClient client;
-        const Status connected =
-            connectDaemon(client, daemon, cache_dir);
-        if (!connected.ok())
-            return fail(connected);
-        auto served = daemonCompile(client, job, quiet);
-        if (!served.ok())
-            return fail(served.status());
-        const CompileReport &report = served->report;
-        if (!quiet && report.portfolio)
-            printPortfolioTable(*report.portfolio);
-        if (!quiet) {
-            std::printf("compiled %s via %s: %s\n",
-                        report.label.c_str(),
-                        daemon.socket.c_str(),
-                        served->hotServed
-                            ? "hot cache hit (served raw)"
-                            : served->cacheHit
-                                  ? "cache hit (no pass ran)"
-                                  : "full pipeline");
-            std::printf("%s", report.describeStages().c_str());
-            const int exec = baseline
-                ? report.baselineResult().executionTime()
-                : report.result().executionTime();
-            const int tau = baseline
-                ? report.baselineResult().requiredLifetime()
-                : report.result().requiredLifetime();
-            std::printf("  execution time    %8d cycles\n", exec);
-            std::printf("  required lifetime %8d cycles\n", tau);
-        }
-        if (!out_path.empty()) {
-            const Status saved = saveArtifactFile(
-                out_path, encodeCompileReportArtifact(report));
-            if (!saved.ok())
-                return fail(saved);
-            if (!quiet)
-                std::printf("wrote report artifact %s\n",
-                            out_path.c_str());
-        }
+    if (flags.quiet)
         return 0;
+    if (report.portfolio)
+        printPortfolioTable(*report.portfolio);
+    const std::string via =
+        flags.daemon.empty() ? "" : " via " + flags.daemon;
+    std::printf("compiled %s%s: %s\n", report.label.c_str(), via.c_str(),
+                served.hotServed  ? "hot cache hit (served raw)"
+                : served.cacheHit ? "cache hit (no pass ran)"
+                                  : "full pipeline");
+    std::printf("%s", report.describeStages().c_str());
+    std::printf("  execution time    %8d cycles\n",
+                flags.baseline ? report.baselineResult().executionTime()
+                               : report.result().executionTime());
+    std::printf("  required lifetime %8d cycles\n",
+                flags.baseline
+                    ? report.baselineResult().requiredLifetime()
+                    : report.result().requiredLifetime());
+    if (report.streaming.windows > 0)
+        std::printf("  streaming         %llu windows, peak "
+                    "%llu frontier nodes / %llu pending edges\n",
+                    (unsigned long long)report.streaming.windows,
+                    (unsigned long long)report.streaming.frontierNodePeak,
+                    (unsigned long long)report.streaming.pendingEdgePeak);
+    if (report.peakRssBytes > 0)
+        std::printf("  peak RSS          %8.1f MiB\n",
+                    static_cast<double>(report.peakRssBytes) /
+                        (1024.0 * 1024.0));
+    if (report.cacheStats) {
+        const CacheStats &s = *report.cacheStats;
+        std::printf("  cache             %llu hits / %llu misses "
+                    "/ %llu evictions\n",
+                    (unsigned long long)s.hits,
+                    (unsigned long long)s.misses,
+                    (unsigned long long)s.evictions);
     }
-
-    const CompilerDriver driver(options);
-    const auto request = stream
-        ? CompileRequest::fromCircuitStream(
-              stream, label.empty() ? stream->name() : label)
-        : CompileRequest::fromCircuit(
-              *circuit, label.empty() ? circuit->name() : label);
-    auto report = baseline ? driver.compileBaseline(request)
-                           : driver.compile(request);
-    if (!report.ok())
-        return fail(report.status());
-
-    if (!quiet && report->portfolio)
-        printPortfolioTable(*report->portfolio);
-    if (!quiet) {
-        std::printf("compiled %s: %s\n", report->label.c_str(),
-                    report->cacheHit ? "cache hit (no pass ran)"
-                                     : "full pipeline");
-        std::printf("%s", report->describeStages().c_str());
-        const int exec = baseline
-            ? report->baselineResult().executionTime()
-            : report->result().executionTime();
-        const int tau = baseline
-            ? report->baselineResult().requiredLifetime()
-            : report->result().requiredLifetime();
-        std::printf("  execution time    %8d cycles\n", exec);
-        std::printf("  required lifetime %8d cycles\n", tau);
-        if (report->streaming.windows > 0)
-            std::printf("  streaming         %llu windows, peak "
-                        "%llu frontier nodes / %llu pending edges\n",
-                        (unsigned long long)report->streaming.windows,
-                        (unsigned long long)
-                            report->streaming.frontierNodePeak,
-                        (unsigned long long)
-                            report->streaming.pendingEdgePeak);
-        if (report->peakRssBytes > 0)
-            std::printf("  peak RSS          %8.1f MiB\n",
-                        static_cast<double>(report->peakRssBytes) /
-                            (1024.0 * 1024.0));
-        if (report->cacheStats) {
-            const CacheStats &s = *report->cacheStats;
-            std::printf("  cache             %llu hits / %llu misses "
-                        "/ %llu evictions\n",
-                        (unsigned long long)s.hits,
-                        (unsigned long long)s.misses,
-                        (unsigned long long)s.evictions);
-        }
-        for (const std::string &warning : report->warnings)
-            std::printf("  warning: %s\n", warning.c_str());
-    }
-
-    if (!out_path.empty()) {
-        const Status saved = saveArtifactFile(
-            out_path, encodeCompileReportArtifact(*report));
-        if (!saved.ok())
-            return fail(saved);
-        if (!quiet)
-            std::printf("wrote report artifact %s\n",
-                        out_path.c_str());
+    for (const std::string &warning : report.warnings)
+        std::printf("  warning: %s\n", warning.c_str());
+    if (!flags.out.empty()) {
+        std::printf("wrote report artifact %s", flags.out.c_str());
+        if (!report.executions.empty())
+            std::printf(" (%zu execution(s))", report.executions.size());
+        std::printf("\n");
     }
     return 0;
-}
-
-// --- run -------------------------------------------------------------------
-
-/** Signed 64-bit parser for --exec-seed (negatives reach validate()). */
-bool
-parseI64(const char *text, std::int64_t &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long long value = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        return false;
-    out = static_cast<std::int64_t>(value);
-    return true;
-}
-
-bool
-parseDouble(const char *text, double &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        return false;
-    out = value;
-    return true;
 }
 
 void
@@ -728,487 +534,276 @@ printExecSummary(const ExecResult &result)
         std::printf("  note: %s\n", note.c_str());
 }
 
-int
-runRun(const std::vector<std::string> &args)
-{
-    std::string artifact_path, backend = "all", out_path, cache_dir;
-    std::string noise_path;
-    int shots = 256, threads = 0;
-    int qpus = 4, grid = 0, kmax = 4, pl_ratio = 0;
-    int portfolio = 1;
-    std::uint64_t seed = 1;
-    std::int64_t exec_seed = -1;
-    bool exec_seed_set = false;
-    double cycle_ns = 1.0;
-    bool use_bdir = true, raw = false, quiet = false;
-    bool baseline = false;
-    DaemonOptions daemon;
+// --- compile / run ---------------------------------------------------------
 
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        const auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= args.size()) {
-                std::fprintf(stderr, "dcmbqc: %s needs a value\n",
-                             flag);
-                return nullptr;
-            }
-            return args[++i].c_str();
-        };
-        if (arg == "--backend") {
-            const char *v = next("--backend");
-            if (!v) return 2;
-            backend = v;
-        } else if (arg == "-o" || arg == "--out") {
-            const char *v = next("-o");
-            if (!v) return 2;
-            out_path = v;
-        } else if (arg == "--cache-dir") {
-            const char *v = next("--cache-dir");
-            if (!v) return 2;
-            cache_dir = v;
-        } else if (arg == "--seed") {
-            const char *v = next("--seed");
-            if (!v) return 2;
-            if (!parseU64(v, seed)) {
-                std::fprintf(stderr,
-                             "dcmbqc: --seed expects an unsigned "
-                             "64-bit integer, got '%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (arg == "--exec-seed") {
-            const char *v = next("--exec-seed");
-            if (!v) return 2;
-            if (!parseI64(v, exec_seed)) {
-                std::fprintf(stderr,
-                             "dcmbqc: --exec-seed expects a 64-bit "
-                             "integer, got '%s'\n",
-                             v);
-                return 2;
-            }
-            exec_seed_set = true;
-        } else if (arg == "--cycle-ns") {
-            const char *v = next("--cycle-ns");
-            if (!v) return 2;
-            if (!parseDouble(v, cycle_ns)) {
-                std::fprintf(stderr,
-                             "dcmbqc: --cycle-ns expects a number, "
-                             "got '%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (arg == "--noise") {
-            const char *v = next("--noise");
-            if (!v) return 2;
-            noise_path = v;
-        } else if (arg == "--no-bdir") {
-            use_bdir = false;
-        } else if (arg == "--baseline") {
-            baseline = true;
-        } else if (arg == "--raw") {
-            raw = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--daemon") {
-            const char *v = next("--daemon");
-            if (!v) return 2;
-            daemon.socket = v;
-        } else if (arg == "--autostart") {
-            daemon.autostart = true;
-        } else if (arg == "--progress") {
-            daemon.progress = true;
-        } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-            int *slot = nullptr;
-            if (arg == "--shots") slot = &shots;
-            else if (arg == "--threads") slot = &threads;
-            else if (arg == "--qpus") slot = &qpus;
-            else if (arg == "--grid") slot = &grid;
-            else if (arg == "--kmax") slot = &kmax;
-            else if (arg == "--pl-ratio") slot = &pl_ratio;
-            else if (arg == "--portfolio") slot = &portfolio;
-            else if (arg == "--deadline-ms")
-                slot = &daemon.deadlineMillis;
-            if (!slot) {
-                std::fprintf(stderr, "dcmbqc: unknown option '%s'\n",
-                             arg.c_str());
-                return usage();
-            }
-            const char *v = next(arg.c_str());
-            if (!v) return 2;
-            if (!parseInt(v, *slot)) {
-                std::fprintf(stderr,
-                             "dcmbqc: %s expects an integer, got "
-                             "'%s'\n",
-                             arg.c_str(), v);
-                return 2;
-            }
-        } else if (artifact_path.empty()) {
-            artifact_path = arg;
-        } else {
-            std::fprintf(stderr,
-                         "dcmbqc: run takes one artifact, got '%s' "
-                         "and '%s'\n",
-                         artifact_path.c_str(), arg.c_str());
-            return usage();
-        }
+int
+runCompile(const Flags &flags)
+{
+    const int sources = !flags.family.empty() + !flags.in.empty() +
+        !flags.streamFamily.empty();
+    if (sources != 1) {
+        std::fprintf(stderr,
+                     "dcmbqc: compile needs exactly one of --family, "
+                     "--in, or --stream-family\n");
+        return usage();
     }
-    if (artifact_path.empty()) {
+    auto request = compileInput(flags);
+    if (!request.ok())
+        return fail(request.status());
+    if (!flags.saveCircuit.empty()) {
+        const bool streamed = request->entryPoint() ==
+            CompileRequest::EntryPoint::CircuitStream;
+        const Status saved = saveArtifactFile(
+            flags.saveCircuit,
+            encodeCircuitArtifact(streamed
+                                      ? request->stream().materialize()
+                                      : request->circuit()));
+        if (!saved.ok())
+            return fail(saved);
+        if (!flags.quiet)
+            std::printf("wrote circuit artifact %s\n",
+                        flags.saveCircuit.c_str());
+    }
+    auto options = compileOptions(flags, programQubits(*request));
+    if (!options.ok())
+        return fail(options.status());
+
+    ServiceClient client;
+    const Status connected = connectDaemon(client, flags);
+    if (!connected.ok())
+        return fail(connected);
+    auto served = compileJob(flags, *options, *request, client);
+    if (!served.ok())
+        return fail(served.status());
+    return finish(flags, *served);
+}
+
+int
+runRun(const Flags &flags)
+{
+    if (flags.file.empty()) {
         std::fprintf(stderr, "dcmbqc: run needs an artifact file\n");
         return usage();
     }
-
-    // Accept the two artifact kinds that carry program semantics.
-    auto bytes = loadArtifactFile(artifact_path);
-    if (!bytes.ok())
-        return fail(bytes.status());
-    auto view = openArtifact(*bytes);
-    if (!view.ok())
-        return fail(view.status());
-
-    std::optional<CompileRequest> request;
-    int default_grid_qubits = 0;
-    if (view->kind == ArtifactKind::Circuit) {
-        auto circuit = decodeCircuitArtifact(*bytes);
-        if (!circuit.ok())
-            return fail(circuit.status());
-        default_grid_qubits = circuit->numQubits();
-        request = CompileRequest::fromCircuit(std::move(*circuit));
-    } else if (view->kind == ArtifactKind::Pattern) {
-        auto pattern = decodePatternArtifact(*bytes);
-        if (!pattern.ok())
-            return fail(pattern.status());
-        default_grid_qubits = pattern->numWires();
-        request = CompileRequest::fromPattern(std::move(*pattern));
-    } else {
+    auto request = runInput(flags.file);
+    if (!request.ok())
+        return fail(request.status());
+    auto options = compileOptions(flags, programQubits(*request));
+    if (!options.ok())
+        return fail(options.status());
+    // The daemon's baseline jobs are compile-only by protocol
+    // contract; a baseline execution must run in-process.
+    if (flags.baseline && !flags.daemon.empty())
         return fail(Status::invalidArgument(
-            std::string("run executes circuit or pattern artifacts; "
-                        "'") +
-            artifactKindName(view->kind) +
-            "' carries no program semantics"));
-    }
-    request->withLabel(artifact_path);
-
-    std::optional<NoiseConfig> noise;
-    if (!noise_path.empty()) {
-        auto loaded = loadNoiseConfigFile(noise_path);
-        if (!loaded.ok())
-            return fail(loaded.status());
-        noise = std::move(loaded.value());
-    }
-
-    CompileOptions options;
-    options.numQpus(baseline ? 1 : qpus)
-        .kmax(kmax)
-        .gridSize(grid > 0 ? grid
-                           : gridSizeForQubits(default_grid_qubits))
-        .useBdir(use_bdir)
-        .seed(seed);
-    if (pl_ratio > 0)
-        options.plRatio(pl_ratio);
-    if (portfolio > 1) {
-        if (baseline)
-            return fail(Status::invalidArgument(
-                "--portfolio needs the distributed pipeline; drop "
-                "--baseline"));
-        options.portfolio(portfolio);
-    }
-    if (noise)
-        options.noise(*noise);
-    std::shared_ptr<CompileCache> cache;
-    if (!cache_dir.empty() && daemon.socket.empty()) {
-        CacheConfig cache_config;
-        cache_config.diskDir = cache_dir;
-        cache = std::make_shared<CompileCache>(cache_config);
-        options.cache(cache);
-    }
-
-    // Daemon mode: one compile+execute job per selected backend, so
-    // the "--backend all" skip semantics survive (a backend that
-    // cannot run this program fails its own job with
-    // FailedPrecondition; the others still run). Only the first job
-    // pays the pipeline — the rest hit the daemon's shared cache.
-    if (!daemon.socket.empty()) {
-        // The daemon's baseline jobs are compile-only by protocol
-        // contract; a baseline execution must run in-process.
-        if (baseline)
-            return fail(Status::invalidArgument(
-                "run --baseline executes in-process; drop --daemon"));
-        auto config = options.build();
-        if (!config.ok())
-            return fail(config.status());
-
-        ServiceClient client;
-        const Status connected =
-            connectDaemon(client, daemon, cache_dir);
-        if (!connected.ok())
-            return fail(connected);
-
-        const bool run_all = backend == "all";
-        const std::vector<std::string> selected = run_all
-            ? backendNames()
-            : std::vector<std::string>{backend};
-
-        ExecOptions exec;
-        exec.shots = shots;
-        exec.numThreads = threads;
-        exec.applyByproducts = !raw;
-        exec.lossModel.cyclePeriodNs = cycle_ns;
-        exec.seed = exec_seed_set
-            ? exec_seed
-            : static_cast<std::int64_t>(
-                  seed & 0x7fffffffffffffffull);
-
-        std::optional<CompileReport> merged;
-        int executed = 0;
-        for (const std::string &name : selected) {
-            exec.backend = name;
-            ServiceJob job;
-            job.request = *request;
-            job.config = *config;
-            job.deadlineMillis = daemon.deadlineMillis > 0
-                ? static_cast<std::uint32_t>(daemon.deadlineMillis)
-                : 0;
-            job.streamProgress = daemon.progress && !merged;
-            job.backends = {exec};
-            job.noise = noise;
-            job.portfolio = portfolio > 1
-                ? static_cast<std::uint32_t>(portfolio)
-                : 0;
-            auto served = daemonCompile(client, job, quiet);
-            if (!served.ok()) {
-                if (run_all &&
-                    served.status().code() ==
-                        StatusCode::FailedPrecondition) {
-                    if (!quiet)
-                        std::printf(
-                            "backend %-11s skipped: %s\n",
-                            name.c_str(),
-                            served.status().message().c_str());
-                    continue;
-                }
-                return fail(served.status());
-            }
-            const std::size_t fresh = served->report.executions.size();
-            if (!merged) {
-                merged = std::move(served->report);
-                if (!quiet && merged->portfolio)
-                    printPortfolioTable(*merged->portfolio);
-                if (!quiet)
-                    std::printf(
-                        "compiled %s via %s: %s, execution time %d "
-                        "cycles, required lifetime %d cycles\n",
-                        merged->label.c_str(), daemon.socket.c_str(),
-                        served->cacheHit ? "cache hit"
-                                         : "full pipeline",
-                        merged->result().executionTime(),
-                        merged->result().requiredLifetime());
-            } else {
-                for (ExecResult &result : served->report.executions)
-                    merged->addExecution(std::move(result));
-            }
-            if (!quiet)
-                for (std::size_t e =
-                         merged->executions.size() - fresh;
-                     e < merged->executions.size(); ++e)
-                    printExecSummary(merged->executions[e]);
-            ++executed;
-        }
-        if (executed == 0)
-            return fail(Status::failedPrecondition(
-                "no requested backend could execute this program"));
-        if (!out_path.empty()) {
-            const Status saved = saveArtifactFile(
-                out_path, encodeCompileReportArtifact(*merged));
-            if (!saved.ok())
-                return fail(saved);
-            if (!quiet)
-                std::printf(
-                    "wrote report artifact %s (%d execution(s))\n",
-                    out_path.c_str(), executed);
-        }
-        return 0;
-    }
-
-    const CompilerDriver driver(options);
-    auto compiled = baseline ? driver.compileBaseline(*request)
-                             : driver.compile(*request);
-    if (!compiled.ok())
-        return fail(compiled.status());
-    CompileReport report = std::move(compiled.value());
-    if (!quiet && report.portfolio)
-        printPortfolioTable(*report.portfolio);
-    if (!quiet)
-        std::printf("compiled %s (%s): %s, execution time %d cycles, "
-                    "required lifetime %d cycles\n",
-                    report.label.c_str(),
-                    baseline ? "baseline" : "distributed",
-                    report.cacheHit ? "cache hit" : "full pipeline",
-                    baseline
-                        ? report.baselineResult().executionTime()
-                        : report.result().executionTime(),
-                    baseline
-                        ? report.baselineResult().requiredLifetime()
-                        : report.result().requiredLifetime());
-
-    const ExecProgram program = baseline
-        ? ExecProgram::fromRequest(*request).withBaseline(
-              report.baselineResult())
-        : ExecProgram::fromRequest(*request).withSchedule(
-              report.result());
-
-    const bool run_all = backend == "all";
-    const std::vector<std::string> selected =
-        run_all ? backendNames() : std::vector<std::string>{backend};
+            "run --baseline executes in-process; drop --daemon"));
 
     ExecOptions exec;
-    exec.shots = shots;
-    exec.numThreads = threads;
-    exec.applyByproducts = !raw;
-    exec.lossModel.cyclePeriodNs = cycle_ns;
-    exec.noise = noise;
+    exec.shots = flags.shots;
+    exec.numThreads = flags.threads;
+    exec.applyByproducts = !flags.raw;
+    exec.lossModel.cyclePeriodNs = flags.cycleNs;
+    exec.noise = options->noiseConfig();
     // The compile seed doubles as the execution seed unless
     // overridden (clamped into the signed domain validate() checks).
-    exec.seed = exec_seed_set
-        ? exec_seed
-        : static_cast<std::int64_t>(seed & 0x7fffffffffffffffull);
+    exec.seed = flags.execSeed.value_or(
+        static_cast<std::int64_t>(flags.seed & 0x7fffffffffffffffull));
 
-    int executed = 0;
-    for (const std::string &name : selected) {
-        exec.backend = name;
-        auto result = driver.execute(program, exec);
-        if (!result.ok()) {
-            // Under "all", a backend that cannot run *this* program
-            // (non-Clifford pattern, too many wires) is reported and
-            // skipped; an explicitly requested backend is fatal.
-            if (run_all &&
-                result.status().code() ==
-                    StatusCode::FailedPrecondition) {
-                if (!quiet)
-                    std::printf("backend %-11s skipped: %s\n",
-                                name.c_str(),
-                                result.status().message().c_str());
-                continue;
-            }
-            return fail(result.status());
-        }
-        if (!quiet)
-            printExecSummary(*result);
-        report.addExecution(std::move(result.value()));
-        ++executed;
+    // In-process, one compile feeds every backend. On the daemon,
+    // each backend is its own compile+execute job; only the first
+    // pays the pipeline, the rest hit the daemon's shared cache.
+    ServiceClient client;
+    const Status connected = connectDaemon(client, flags);
+    if (!connected.ok())
+        return fail(connected);
+    std::optional<ClientCompileResult> served;
+    std::optional<ExecProgram> program;
+    if (!client.connected()) {
+        auto compiled = compileJob(flags, *options, *request, client);
+        if (!compiled.ok())
+            return fail(compiled.status());
+        served = std::move(compiled.value());
+        program = ExecProgram::fromRequest(*request);
+        if (flags.baseline)
+            program->withBaseline(served->report.baselineResult());
+        else
+            program->withSchedule(served->report.result());
     }
-    if (executed == 0)
+    const CompilerDriver driver(*options);
+    const auto execute = [&]() -> Status {
+        if (program) {
+            auto result = driver.execute(*program, exec);
+            if (!result.ok())
+                return result.status();
+            served->report.addExecution(std::move(result.value()));
+            return Status();
+        }
+        auto job = compileJob(flags, *options, *request, client, {exec},
+                              /*progress=*/!served);
+        if (!job.ok())
+            return job.status();
+        if (!served)
+            served = std::move(job.value());
+        else
+            for (ExecResult &result : job->report.executions)
+                served->report.addExecution(std::move(result));
+        return Status();
+    };
+
+    // Under "all", a backend that cannot run *this* program
+    // (non-Clifford pattern, too many wires) is reported and
+    // skipped; an explicitly requested backend is fatal.
+    const bool run_all = flags.backend == "all";
+    for (const std::string &name :
+         run_all ? backendNames() : std::vector<std::string>{flags.backend}) {
+        exec.backend = name;
+        const std::size_t before =
+            served ? served->report.executions.size() : 0;
+        const Status status = execute();
+        if (run_all && status.code() == StatusCode::FailedPrecondition) {
+            if (!flags.quiet)
+                std::printf("backend %-11s skipped: %s\n", name.c_str(),
+                            status.message().c_str());
+            continue;
+        }
+        if (!status.ok())
+            return fail(status);
+        const std::vector<ExecResult> &done = served->report.executions;
+        for (std::size_t e = before; e < done.size() && !flags.quiet; ++e)
+            printExecSummary(done[e]);
+    }
+    if (!served || served->report.executions.empty())
         return fail(Status::failedPrecondition(
             "no requested backend could execute this program"));
-
-    if (!out_path.empty()) {
-        const Status saved = saveArtifactFile(
-            out_path, encodeCompileReportArtifact(report));
-        if (!saved.ok())
-            return fail(saved);
-        if (!quiet)
-            std::printf("wrote report artifact %s (%d execution(s))\n",
-                        out_path.c_str(), executed);
-    }
-    return 0;
+    return finish(flags, *served);
 }
 
 // --- inspect / stats -------------------------------------------------------
 
 /** Decode an artifact file and JSON-print its payload. */
 int
-runInspect(const std::string &path)
+runInspect(const Flags &flags)
 {
-    auto bytes = loadArtifactFile(path);
-    if (!bytes.ok())
-        return fail(bytes.status());
-    auto view = openArtifact(*bytes);
-    if (!view.ok())
-        return fail(view.status());
+    if (flags.file.empty())
+        return usage();
+    const Status status = visitArtifact(
+        flags.file, [](const ArtifactView &, const auto &value) {
+            std::printf("%s\n", toJson(value).c_str());
+            return Status();
+        });
+    return status.ok() ? 0 : fail(status);
+}
 
-    std::string json;
-    switch (view->kind) {
-      case ArtifactKind::Circuit: {
-        auto decoded = decodeCircuitArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        json = toJson(*decoded);
-        break;
-      }
-      case ArtifactKind::Graph: {
-        auto decoded = decodeGraphArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        json = toJson(*decoded);
-        break;
-      }
-      case ArtifactKind::Digraph: {
-        auto decoded = decodeDigraphArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        json = toJson(*decoded);
-        break;
-      }
-      case ArtifactKind::Pattern: {
-        auto decoded = decodePatternArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        json = toJson(*decoded);
-        break;
-      }
-      case ArtifactKind::Config: {
-        auto decoded = decodeConfigArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        json = toJson(*decoded);
-        break;
-      }
-      case ArtifactKind::LocalSchedule: {
-        auto decoded = decodeLocalScheduleArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        json = toJson(*decoded);
-        break;
-      }
-      case ArtifactKind::Schedule: {
-        auto decoded = decodeScheduleArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        json = toJson(*decoded);
-        break;
-      }
-      case ArtifactKind::CompileReport: {
-        auto decoded = decodeCompileReportArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        json = toJson(*decoded);
-        break;
-      }
-      case ArtifactKind::ExecResult: {
-        auto decoded = decodeExecResultArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        json = toJson(*decoded);
-        break;
-      }
-      case ArtifactKind::NoiseConfig: {
-        auto decoded = decodeNoiseConfigArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        json = toJson(*decoded);
-        break;
-      }
-      default:
-        return fail(Status::invalidArgument(
-            std::string("inspect does not support '") +
-            artifactKindName(view->kind) + "' artifacts"));
+// The kind-specific rows of `dcmbqc stats FILE`; kinds without a
+// row set print the envelope rows only.
+
+template <typename T>
+void
+addStatsRows(TextTable &, const T &)
+{
+}
+
+void
+addStatsRows(TextTable &table, const Circuit &circuit)
+{
+    table.row().cell("name").cell(circuit.name());
+    table.row().cell("qubits").cell(circuit.numQubits());
+    table.row()
+        .cell("gates")
+        .cell(static_cast<long long>(circuit.numGates()));
+    table.row()
+        .cell("2q gates")
+        .cell(static_cast<long long>(circuit.numTwoQubitGates()));
+    table.row().cell("depth").cell(circuit.depth());
+}
+
+void
+addStatsRows(TextTable &table, const Graph &graph)
+{
+    table.row().cell("nodes").cell(graph.numNodes());
+    table.row().cell("edges").cell(graph.numEdges());
+}
+
+void
+addStatsRows(TextTable &table, const Digraph &digraph)
+{
+    table.row().cell("nodes").cell(digraph.numNodes());
+    table.row()
+        .cell("arcs")
+        .cell(static_cast<long long>(digraph.numArcs()));
+}
+
+void
+addStatsRows(TextTable &table, const Pattern &pattern)
+{
+    table.row().cell("photons").cell(pattern.numNodes());
+    table.row().cell("edges").cell(pattern.graph().numEdges());
+    table.row().cell("wires").cell(pattern.numWires());
+}
+
+void
+addStatsRows(TextTable &table, const CompileReport &report)
+{
+    const bool distributed = report.distributed.has_value();
+    table.row().cell("label").cell(report.label);
+    table.row()
+        .cell("pipeline")
+        .cell(distributed ? "distributed" : "baseline");
+    table.row()
+        .cell("execution time")
+        .cell(distributed ? report.result().executionTime()
+                          : report.baselineResult().executionTime());
+    table.row()
+        .cell("required lifetime")
+        .cell(distributed ? report.result().requiredLifetime()
+                          : report.baselineResult().requiredLifetime());
+    table.row()
+        .cell("stages")
+        .cell(static_cast<long long>(report.stages.size()));
+    table.row().cell("total ms").cell(report.totalMillis, 2);
+    table.row()
+        .cell("executions")
+        .cell(static_cast<long long>(report.executions.size()));
+    for (const ExecResult &execution : report.executions)
+        table.row()
+            .cell("  " + execution.backend)
+            .cell(std::to_string(execution.completedShots) + "/" +
+                  std::to_string(execution.shots) + " shots");
+    if (distributed) {
+        table.row()
+            .cell("connectors")
+            .cell(report.result().numConnectors);
+        table.row()
+            .cell("QPUs")
+            .cell(static_cast<int>(report.result().localSchedules.size()));
     }
-    std::printf("%s\n", json.c_str());
-    return 0;
+}
+
+void
+addStatsRows(TextTable &table, const ExecResult &result)
+{
+    table.row().cell("backend").cell(result.backend);
+    table.row().cell("label").cell(result.label);
+    table.row()
+        .cell("shots")
+        .cell(std::to_string(result.completedShots) + "/" +
+              std::to_string(result.shots));
+    table.row().cell("wires").cell(result.numWires);
+    table.row()
+        .cell("distinct outcomes")
+        .cell(static_cast<long long>(result.counts.size()));
+    if (result.analyticSuccessProbability >= 0.0) {
+        table.row()
+            .cell("survival rate")
+            .cell(result.survivalRate(), 4);
+        table.row()
+            .cell("analytic success")
+            .cell(result.analyticSuccessProbability, 4);
+    }
 }
 
 /** `dcmbqc stats --daemon SOCK`: the daemon's serving statistics. */
 int
-runStatsDaemon(const std::string &socket_path, bool json)
+statsDaemon(const std::string &socket_path, bool json)
 {
     ServiceClient client;
     Status status = client.connect(socket_path);
@@ -1306,7 +901,7 @@ runStatsDaemon(const std::string &socket_path, bool json)
 
 /** `dcmbqc stats --cache-dir DIR`: offline disk-store summary. */
 int
-runStatsCacheDir(const std::string &dir)
+statsCacheDir(const std::string &dir)
 {
     const DiskStoreStats stats = CompileCache::scanDiskStore(dir);
     TextTable table({"field", "value"});
@@ -1328,138 +923,33 @@ runStatsCacheDir(const std::string &dir)
     return 0;
 }
 
+/**
+ * `dcmbqc stats`: a daemon's serving stats, an on-disk cache store,
+ * or (the original form) one artifact file.
+ */
 int
-runStats(const std::string &path)
+runStats(const Flags &flags)
 {
-    auto bytes = loadArtifactFile(path);
-    if (!bytes.ok())
-        return fail(bytes.status());
-    auto view = openArtifact(*bytes);
-    if (!view.ok())
-        return fail(view.status());
-
-    TextTable table({"field", "value"});
-    table.row().cell("file").cell(path);
-    table.row().cell("kind").cell(artifactKindName(view->kind));
-    table.row().cell("format version").cell(view->version);
-    table.row()
-        .cell("payload bytes")
-        .cell(static_cast<long long>(view->payloadSize));
-
-    switch (view->kind) {
-      case ArtifactKind::Circuit: {
-        auto decoded = decodeCircuitArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        table.row().cell("name").cell(decoded->name());
-        table.row().cell("qubits").cell(decoded->numQubits());
-        table.row()
-            .cell("gates")
-            .cell(static_cast<long long>(decoded->numGates()));
-        table.row()
-            .cell("2q gates")
-            .cell(static_cast<long long>(
-                decoded->numTwoQubitGates()));
-        table.row().cell("depth").cell(decoded->depth());
-        break;
-      }
-      case ArtifactKind::Graph: {
-        auto decoded = decodeGraphArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        table.row().cell("nodes").cell(decoded->numNodes());
-        table.row().cell("edges").cell(decoded->numEdges());
-        break;
-      }
-      case ArtifactKind::Digraph: {
-        auto decoded = decodeDigraphArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        table.row().cell("nodes").cell(decoded->numNodes());
-        table.row()
-            .cell("arcs")
-            .cell(static_cast<long long>(decoded->numArcs()));
-        break;
-      }
-      case ArtifactKind::Pattern: {
-        auto decoded = decodePatternArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        table.row().cell("photons").cell(decoded->numNodes());
-        table.row()
-            .cell("edges")
-            .cell(decoded->graph().numEdges());
-        table.row().cell("wires").cell(decoded->numWires());
-        break;
-      }
-      case ArtifactKind::CompileReport: {
-        auto decoded = decodeCompileReportArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        table.row().cell("label").cell(decoded->label);
-        table.row()
-            .cell("pipeline")
-            .cell(decoded->distributed ? "distributed" : "baseline");
-        const int exec = decoded->distributed
-            ? decoded->result().executionTime()
-            : decoded->baselineResult().executionTime();
-        const int tau = decoded->distributed
-            ? decoded->result().requiredLifetime()
-            : decoded->baselineResult().requiredLifetime();
-        table.row().cell("execution time").cell(exec);
-        table.row().cell("required lifetime").cell(tau);
-        table.row()
-            .cell("stages")
-            .cell(static_cast<long long>(decoded->stages.size()));
-        table.row().cell("total ms").cell(decoded->totalMillis, 2);
-        table.row()
-            .cell("executions")
-            .cell(static_cast<long long>(decoded->executions.size()));
-        for (const ExecResult &execution : decoded->executions)
+    if (!flags.daemon.empty())
+        return statsDaemon(flags.daemon, flags.json);
+    if (!flags.cacheDir.empty())
+        return statsCacheDir(flags.cacheDir);
+    if (flags.file.empty())
+        return usage();
+    const Status status = visitArtifact(
+        flags.file, [&](const ArtifactView &view, const auto &value) {
+            TextTable table({"field", "value"});
+            table.row().cell("file").cell(flags.file);
+            table.row().cell("kind").cell(artifactKindName(view.kind));
+            table.row().cell("format version").cell(view.version);
             table.row()
-                .cell("  " + execution.backend)
-                .cell(std::to_string(execution.completedShots) + "/" +
-                      std::to_string(execution.shots) + " shots");
-        if (decoded->distributed) {
-            table.row()
-                .cell("connectors")
-                .cell(decoded->result().numConnectors);
-            table.row()
-                .cell("QPUs")
-                .cell(static_cast<int>(
-                    decoded->result().localSchedules.size()));
-        }
-        break;
-      }
-      case ArtifactKind::ExecResult: {
-        auto decoded = decodeExecResultArtifact(*bytes);
-        if (!decoded.ok())
-            return fail(decoded.status());
-        table.row().cell("backend").cell(decoded->backend);
-        table.row().cell("label").cell(decoded->label);
-        table.row()
-            .cell("shots")
-            .cell(std::to_string(decoded->completedShots) + "/" +
-                  std::to_string(decoded->shots));
-        table.row().cell("wires").cell(decoded->numWires);
-        table.row()
-            .cell("distinct outcomes")
-            .cell(static_cast<long long>(decoded->counts.size()));
-        if (decoded->analyticSuccessProbability >= 0.0) {
-            table.row()
-                .cell("survival rate")
-                .cell(decoded->survivalRate(), 4);
-            table.row()
-                .cell("analytic success")
-                .cell(decoded->analyticSuccessProbability, 4);
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    std::printf("%s", table.render("artifact stats").c_str());
-    return 0;
+                .cell("payload bytes")
+                .cell(static_cast<long long>(view.payloadSize));
+            addStatsRows(table, value);
+            std::printf("%s", table.render("artifact stats").c_str());
+            return Status();
+        });
+    return status.ok() ? 0 : fail(status);
 }
 
 } // namespace
@@ -1467,41 +957,19 @@ runStats(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string command = argv[1];
-    std::vector<std::string> args(argv + 2, argv + argc);
-
-    if (command == "compile")
-        return runCompile(args);
-    if (command == "run")
-        return runRun(args);
-    if (command == "inspect" && args.size() == 1)
-        return runInspect(args[0]);
-    if (command == "stats") {
-        // Three sources: a daemon's serving stats, an on-disk cache
-        // store, or (the original form) one artifact file.
-        std::string daemon_socket, cache_dir, file;
-        bool json = false;
-        for (std::size_t i = 0; i < args.size(); ++i) {
-            if (args[i] == "--daemon" && i + 1 < args.size())
-                daemon_socket = args[++i];
-            else if (args[i] == "--cache-dir" && i + 1 < args.size())
-                cache_dir = args[++i];
-            else if (args[i] == "--json")
-                json = true;
-            else if (file.empty() && args[i][0] != '-')
-                file = args[i];
-            else
-                return usage();
-        }
-        if (!daemon_socket.empty())
-            return runStatsDaemon(daemon_socket, json);
-        if (!cache_dir.empty())
-            return runStatsCacheDir(cache_dir);
-        if (!file.empty())
-            return runStats(file);
-        return usage();
+    static const std::pair<cli::Command, int (*)(const Flags &)>
+        commands[] = {{cli::Compile, runCompile},
+                      {cli::Run, runRun},
+                      {cli::Inspect, runInspect},
+                      {cli::Stats, runStats}};
+    const std::string name = argc > 1 ? argv[1] : "";
+    for (const auto &[command, run] : commands) {
+        if (name != cli::commandName(command))
+            continue;
+        Flags flags;
+        if (!cli::parseFlags(command, {argv + 2, argv + argc}, flags))
+            return usage();
+        return run(flags);
     }
     return usage();
 }

@@ -18,9 +18,9 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "flags.hh"
 #include "service/client.hh"
 #include "service/server.hh"
 
@@ -32,14 +32,7 @@ namespace
 int
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage:\n"
-        "  dcmbqcd --socket PATH [--workers N] [--queue-depth N]\n"
-        "          [--cache-dir DIR] [--cache-capacity N]\n"
-        "          [--default-deadline-ms N] [--quiet]\n"
-        "  dcmbqcd --drain --socket PATH\n"
-        "  dcmbqcd --stats --socket PATH\n");
+    cli::printUsage(cli::Daemon);
     return 2;
 }
 
@@ -48,17 +41,6 @@ fail(const Status &status)
 {
     std::fprintf(stderr, "dcmbqcd: %s\n", status.toString().c_str());
     return 1;
-}
-
-bool
-parseInt(const char *text, int &out)
-{
-    char *end = nullptr;
-    const long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || value < 0 || value > 1 << 30)
-        return false;
-    out = static_cast<int>(value);
-    return true;
 }
 
 /**
@@ -75,28 +57,21 @@ onSignal(int)
         signalTarget->requestDrain();
 }
 
+/** `--drain` or `--stats`: one request to the serving daemon. */
 int
-sendDrain(const std::string &socket_path)
+sendRequest(const cli::Flags &flags)
 {
     ServiceClient client;
-    Status status = client.connect(socket_path);
+    Status status = client.connect(flags.socket);
+    if (status.ok() && flags.drain)
+        status = client.drain();
     if (!status.ok())
         return fail(status);
-    status = client.drain();
-    if (!status.ok())
-        return fail(status);
-    std::printf("dcmbqcd: drain acknowledged on %s\n",
-                socket_path.c_str());
-    return 0;
-}
-
-int
-printStats(const std::string &socket_path)
-{
-    ServiceClient client;
-    Status status = client.connect(socket_path);
-    if (!status.ok())
-        return fail(status);
+    if (flags.drain) {
+        std::printf("dcmbqcd: drain acknowledged on %s\n",
+                    flags.socket.c_str());
+        return 0;
+    }
     auto stats = client.stats();
     if (!stats.ok())
         return fail(stats.status());
@@ -109,76 +84,30 @@ printStats(const std::string &socket_path)
 int
 main(int argc, char **argv)
 {
+    cli::Flags flags;
+    if (!cli::parseFlags(cli::Daemon, {argv + 1, argv + argc}, flags))
+        return usage();
     ServiceConfig config;
-    bool drain = false, stats = false, quiet = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "dcmbqcd: %s needs a value\n",
-                             flag);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (arg == "--drain") {
-            drain = true;
-        } else if (arg == "--stats") {
-            stats = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--socket") {
-            const char *v = next("--socket");
-            if (!v) return 2;
-            config.socketPath = v;
-        } else if (arg == "--cache-dir") {
-            const char *v = next("--cache-dir");
-            if (!v) return 2;
-            config.cacheDir = v;
-        } else if (arg == "--workers" || arg == "--queue-depth" ||
-                   arg == "--cache-capacity" ||
-                   arg == "--default-deadline-ms") {
-            const char *v = next(arg.c_str());
-            if (!v) return 2;
-            int value = 0;
-            if (!parseInt(v, value)) {
-                std::fprintf(stderr,
-                             "dcmbqcd: %s expects a non-negative "
-                             "integer, got '%s'\n",
-                             arg.c_str(), v);
-                return 2;
-            }
-            if (arg == "--workers")
-                config.workers = value;
-            else if (arg == "--queue-depth")
-                config.queueDepth = value;
-            else if (arg == "--cache-capacity")
-                config.cacheCapacity =
-                    static_cast<std::size_t>(value);
-            else
-                config.defaultDeadlineMillis =
-                    static_cast<std::uint32_t>(value);
-        } else {
-            std::fprintf(stderr, "dcmbqcd: unknown option '%s'\n",
-                         arg.c_str());
-            return usage();
-        }
-    }
+    config.socketPath = flags.socket;
+    config.cacheDir = flags.cacheDir;
+    config.workers = flags.workers.value;
+    config.queueDepth = flags.queueDepth.value;
+    config.cacheCapacity =
+        static_cast<std::size_t>(flags.cacheCapacity.value);
+    config.defaultDeadlineMillis =
+        static_cast<std::uint32_t>(flags.defaultDeadlineMs.value);
 
     if (config.socketPath.empty()) {
         std::fprintf(stderr, "dcmbqcd: --socket is required\n");
         return usage();
     }
-    if (drain && stats) {
+    if (flags.drain && flags.stats) {
         std::fprintf(stderr,
                      "dcmbqcd: --drain and --stats are exclusive\n");
         return usage();
     }
-    if (drain)
-        return sendDrain(config.socketPath);
-    if (stats)
-        return printStats(config.socketPath);
+    if (flags.drain || flags.stats)
+        return sendRequest(flags);
 
     ServiceServer server(config);
     const Status started = server.start();
@@ -195,7 +124,7 @@ main(int argc, char **argv)
     // session, never kill the daemon.
     ::signal(SIGPIPE, SIG_IGN);
 
-    if (!quiet)
+    if (!flags.quiet)
         std::printf("dcmbqcd: serving %s (%d worker(s), queue depth "
                     "%d%s%s)\n",
                     config.socketPath.c_str(),
@@ -208,7 +137,7 @@ main(int argc, char **argv)
 
     server.wait();
     signalTarget = nullptr;
-    if (!quiet)
+    if (!flags.quiet)
         std::printf("dcmbqcd: drained, exiting\n");
     return 0;
 }
