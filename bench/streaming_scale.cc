@@ -11,8 +11,11 @@
  * under an address-space ulimit). The harness exits nonzero if any
  * frontier high-water mark exceeds the qubit count — the
  * width-not-length property that makes million-qubit inputs
- * compile in bounded memory at all. Results are mirrored to
- * BENCH_streaming.json.
+ * compile in bounded memory at all. A grid-scaling stage compiles
+ * the 100x100 graph state with BDIR on at per-QPU grids 25, 49, 99
+ * and 199 (199 is the CLI default) and reports per-stage
+ * milliseconds, the view that shows PlaceLocal's routing cost as
+ * the grid grows. Results are mirrored to BENCH_streaming.json.
  */
 
 #include <chrono>
@@ -41,12 +44,15 @@ constexpr int kWindow = 4096;
 struct Measurement
 {
     std::string name;
+    int grid = 0;
+    bool bdir = false;
     unsigned long long qubits = 0;
     unsigned long long gates = 0;
     double wallMs = 0.0;
     double gatesPerSecond = 0.0;
     StreamStats streaming;
     unsigned long long peakRssBytes = 0;
+    std::vector<StageReport> stages;
 };
 
 [[noreturn]] void
@@ -56,13 +62,15 @@ fail(const std::string &message)
     std::exit(1);
 }
 
-/** One streamed compile of `stream`, bdir off so scale dominates. */
+/** One streamed compile of `stream` (bdir off unless asked). */
 Measurement
 measure(const std::shared_ptr<CircuitStream> &stream, int num_qpus,
-        int grid_size)
+        int grid_size, bool bdir = false)
 {
     Measurement m;
     m.name = stream->name();
+    m.grid = grid_size;
+    m.bdir = bdir;
     m.qubits = static_cast<unsigned long long>(stream->numQubits());
     m.gates = stream->totalGates();
 
@@ -70,7 +78,7 @@ measure(const std::shared_ptr<CircuitStream> &stream, int num_qpus,
     options.numQpus(num_qpus)
         .gridSize(grid_size)
         .seed(1)
-        .useBdir(false)
+        .useBdir(bdir)
         .window(kWindow);
     const auto start = std::chrono::steady_clock::now();
     auto report = CompilerDriver(options).compile(
@@ -84,6 +92,7 @@ measure(const std::shared_ptr<CircuitStream> &stream, int num_qpus,
         m.wallMs > 0.0 ? 1e3 * (double)m.gates / m.wallMs : 0.0;
     m.streaming = report->streaming;
     m.peakRssBytes = report->peakRssBytes;
+    m.stages = report->stages;
     return m;
 }
 
@@ -94,6 +103,8 @@ appendJson(JsonWriter &json, const Measurement &m)
     json.key("name").value(m.name);
     json.key("qubits").value(m.qubits);
     json.key("gates").value(m.gates);
+    json.key("grid").value(m.grid);
+    json.key("bdir").value(m.bdir);
     json.key("window").value(kWindow);
     json.key("wallMs").value(m.wallMs);
     json.key("gatesPerSecond").value(m.gatesPerSecond);
@@ -108,6 +119,14 @@ appendJson(JsonWriter &json, const Measurement &m)
     json.key("segmentsEmitted")
         .value((unsigned long long)m.streaming.segmentsEmitted);
     json.key("peakRssBytes").value(m.peakRssBytes);
+    json.key("stages").beginArray();
+    for (const StageReport &stage : m.stages) {
+        json.beginObject();
+        json.key("pass").value(stage.pass);
+        json.key("millis").value(stage.millis);
+        json.endObject();
+    }
+    json.endArray();
     json.endObject();
 }
 
@@ -168,6 +187,28 @@ main(int argc, char **argv)
              std::to_string(deep.qubits) +
              " — live state grows with circuit length");
 
+    // Grid scaling: the same 100x100 graph state under the CLI's
+    // defaults (BDIR on) at growing per-QPU grids; 199 is what
+    // gridSizeForQubits picks for it.
+    std::vector<Measurement> grids;
+    for (int grid : {25, 49, 99, 199})
+        grids.push_back(
+            measure(makeGraphStateStream(100, 100), 4, grid, true));
+    std::vector<std::string> grid_headers = {"grid", "wall ms"};
+    for (const StageReport &stage : grids.front().stages)
+        grid_headers.push_back(stage.pass);
+    TextTable grid_table(grid_headers);
+    for (const Measurement &m : grids) {
+        grid_table.row().cell(m.grid).cell(m.wallMs, 0);
+        for (const StageReport &stage : m.stages)
+            grid_table.cell(stage.millis, 1);
+    }
+    std::printf("%s",
+                grid_table
+                    .render("graphstate-100x100 per-stage ms by grid, "
+                            "BDIR on")
+                    .c_str());
+
     // Scale stage: one wide graph state (CI passes 1000 1000 for
     // the million-qubit run under an address-space ulimit).
     const Measurement scale =
@@ -193,6 +234,10 @@ main(int argc, char **argv)
     json.key("bench").value("streaming_scale");
     json.key("families").beginArray();
     for (const Measurement &m : families)
+        appendJson(json, m);
+    json.endArray();
+    json.key("gridScaling").beginArray();
+    for (const Measurement &m : grids)
         appendJson(json, m);
     json.endArray();
     json.key("scale");

@@ -1,6 +1,7 @@
 #include "compiler/placer.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "photonic/resource_state.hh"
@@ -11,7 +12,8 @@ namespace dcmbqc
 LayerGrid::LayerGrid(const GridSpec &spec)
     : size_(spec.usableSize()),
       state_(static_cast<std::size_t>(size_) * size_, CellState::Free),
-      routingLeft_(state_.size(), 0)
+      routingLeft_(state_.size(), 0), seen_(state_.size(), 0),
+      parent_(state_.size(), -1), region_(state_.size(), 0)
 {
     const auto info = resourceStateInfo(spec.resourceState);
     fusionArms_ = info.fusionArms;
@@ -48,6 +50,7 @@ LayerGrid::clear()
     routingCells_ = 0;
     undoLog_.clear();
     inTxn_ = false;
+    forgetRegions();
 }
 
 void
@@ -73,6 +76,9 @@ void
 LayerGrid::abortTxn()
 {
     DCMBQC_ASSERT(inTxn_, "abort without begin");
+    // Restored cells may reopen a region proven closed since.
+    if (!undoLog_.empty())
+        forgetRegions();
     // Undo in reverse order; the log may contain duplicates, so the
     // earliest (last applied here) value wins.
     for (auto it = undoLog_.rbegin(); it != undoLog_.rend(); ++it) {
@@ -91,24 +97,6 @@ LayerGrid::touch(int cell)
 {
     if (inTxn_)
         undoLog_.push_back({cell, state_[cell], routingLeft_[cell]});
-}
-
-std::vector<int>
-LayerGrid::neighbors(int cell) const
-{
-    const int x = cell / size_;
-    const int y = cell % size_;
-    std::vector<int> result;
-    result.reserve(4);
-    if (x > 0)
-        result.push_back(cell - size_);
-    if (x + 1 < size_)
-        result.push_back(cell + size_);
-    if (y > 0)
-        result.push_back(cell - 1);
-    if (y + 1 < size_)
-        result.push_back(cell + 1);
-    return result;
 }
 
 int
@@ -162,8 +150,11 @@ LayerGrid::placeNode(int degree)
     std::size_t frontier = 0;
     while (static_cast<int>(super.size()) < cells_needed) {
         bool grown = false;
+        int nbs[4];
         for (; frontier < super.size() && !grown; ++frontier) {
-            for (int nb : neighbors(super[frontier])) {
+            const int count = neighbors(super[frontier], nbs);
+            for (int i = 0; i < count; ++i) {
+                const int nb = nbs[i];
                 if (state_[nb] == CellState::Free) {
                     touch(nb);
                     state_[nb] = CellState::Compute;
@@ -186,6 +177,89 @@ LayerGrid::placeNode(int degree)
     return super;
 }
 
+std::uint32_t
+LayerGrid::takeStamps(std::uint32_t count)
+{
+    if (stamp_ > std::numeric_limits<std::uint32_t>::max() - count) {
+        std::fill(seen_.begin(), seen_.end(), 0);
+        stamp_ = 0;
+    }
+    const std::uint32_t first = stamp_ + 1;
+    stamp_ += count;
+    return first;
+}
+
+bool
+LayerGrid::sealedOff(const std::vector<int> &side, std::uint32_t mark,
+                     const std::vector<int> &other, std::uint32_t other_mark)
+{
+    // Every passable cell a search from `side` could step into must
+    // lie in a live closed region. Connected passable cells share
+    // their region, so the last cell of any path to `other` would
+    // carry one of these ids next to an `other` cell. route() has
+    // already ruled out a `side` cell next to an `other` cell.
+    sideRegions_.clear();
+    int nbs[4];
+    for (int cell : side) {
+        const int count = neighbors(cell, nbs);
+        for (int i = 0; i < count; ++i) {
+            const int nb = nbs[i];
+            if (seen_[nb] == mark || !passable(nb))
+                continue;
+            if (region_[nb] < firstLiveRegion_)
+                return false;
+            if (std::find(sideRegions_.begin(), sideRegions_.end(),
+                          region_[nb]) == sideRegions_.end())
+                sideRegions_.push_back(region_[nb]);
+        }
+    }
+    for (int cell : other) {
+        const int count = neighbors(cell, nbs);
+        for (int i = 0; i < count; ++i) {
+            const int nb = nbs[i];
+            if (seen_[nb] == other_mark || !passable(nb))
+                continue;
+            if (std::find(sideRegions_.begin(), sideRegions_.end(),
+                          region_[nb]) != sideRegions_.end())
+                return false;
+        }
+    }
+    return true;
+}
+
+bool
+LayerGrid::growBackward(int cell, std::uint32_t visited,
+                        std::uint32_t target, std::uint32_t reached)
+{
+    int nbs[4];
+    const int count = neighbors(cell, nbs);
+    for (int i = 0; i < count; ++i) {
+        const int nb = nbs[i];
+        if (seen_[nb] == visited)
+            return true;
+        if (seen_[nb] == target || seen_[nb] == reached ||
+            !passable(nb))
+            continue;
+        seen_[nb] = reached;
+        otherQueue_.push_back(nb);
+    }
+    return false;
+}
+
+void
+LayerGrid::sealRegion(const std::vector<int> &cells)
+{
+    if (nextRegion_ == std::numeric_limits<std::uint32_t>::max()) {
+        std::fill(region_.begin(), region_.end(), 0);
+        nextRegion_ = 1;
+        firstLiveRegion_ = 1;
+    }
+    const std::uint32_t id = nextRegion_++;
+    for (int cell : cells)
+        if (passable(cell))
+            region_[cell] = id;
+}
+
 std::optional<int>
 LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
 {
@@ -197,49 +271,71 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
                     std::abs(a % size_ - b % size_) <= 1)
                 return 0;
 
-    // BFS from all `from` cells to any `to` cell through cells with
-    // remaining routing capacity.
-    std::vector<int> parent(state_.size(), -2);
-    std::vector<int> queue;
-    std::vector<char> is_target(state_.size(), 0);
+    const std::uint32_t visited = takeStamps(3);
+    const std::uint32_t target = visited + 1;
+    const std::uint32_t reached = visited + 2;
     for (int b : to)
-        is_target[b] = 1;
+        seen_[b] = target;
+    for (int a : from)
+        seen_[a] = visited;
+    if (sealedOff(from, visited, to, target) ||
+        sealedOff(to, target, from, visited))
+        return std::nullopt;
+
+    // BFS from all `from` cells to any `to` cell through cells with
+    // remaining routing capacity; it alone picks the path. Until it
+    // meets a search growing back from `to`, the two advance one
+    // cell at a time, and a side that runs out first has visited a
+    // closed region (with its terminals) that never touched the
+    // other: no path exists, and the memo keeps the region. The
+    // backward marks only tell the BFS that the sides met; it treats
+    // those cells like any unvisited one.
+    queue_.clear();
     for (int a : from) {
-        parent[a] = -1;
-        queue.push_back(a);
+        parent_[a] = -1;
+        queue_.push_back(a);
     }
-
-    auto passable = [&](int cell) {
-        if (state_[cell] == CellState::Free)
-            return true;
-        return state_[cell] == CellState::Routing &&
-               routingLeft_[cell] > 0;
-    };
-
-    int found = -1;
+    otherQueue_.assign(to.begin(), to.end());
     std::size_t head = 0;
-    while (head < queue.size() && found < 0) {
-        const int cell = queue[head++];
-        for (int nb : neighbors(cell)) {
-            if (parent[nb] != -2)
+    std::size_t back_head = 0;
+    bool met = false;
+    int found = -1;
+    int nbs[4];
+    while (found < 0) {
+        if (head == queue_.size()) {
+            sealRegion(queue_);
+            return std::nullopt;
+        }
+        const int cell = queue_[head++];
+        const int count = neighbors(cell, nbs);
+        for (int i = 0; i < count; ++i) {
+            const int nb = nbs[i];
+            if (seen_[nb] == visited)
                 continue;
-            if (is_target[nb]) {
-                parent[nb] = cell;
+            if (seen_[nb] == target) {
                 found = cell; // last intermediate before target
                 break;
             }
             if (!passable(nb))
                 continue;
-            parent[nb] = cell;
-            queue.push_back(nb);
+            met = met || seen_[nb] == reached;
+            seen_[nb] = visited;
+            parent_[nb] = cell;
+            queue_.push_back(nb);
         }
+        if (met || found >= 0)
+            continue;
+        if (back_head == otherQueue_.size()) {
+            sealRegion(otherQueue_);
+            return std::nullopt;
+        }
+        met = growBackward(otherQueue_[back_head++], visited, target,
+                           reached);
     }
-    if (found < 0)
-        return std::nullopt;
 
     // Walk back from `found` to a source cell, consuming capacity.
     int used = 0;
-    for (int cell = found; parent[cell] != -1; cell = parent[cell]) {
+    for (int cell = found; parent_[cell] != -1; cell = parent_[cell]) {
         touch(cell);
         if (state_[cell] == CellState::Free) {
             state_[cell] = CellState::Routing;

@@ -91,6 +91,12 @@ class LayerGrid
      * used routing cells (BFS, 4-neighborhood). Adjacent super-cells
      * route with zero intermediate cells.
      *
+     * The path is the first one a forward BFS from `from` reaches.
+     * Unroutable pairs are rejected without searching the whole
+     * layer: by a memo of regions proven closed on this layer, or
+     * because the BFS or a search growing back from `to` runs out
+     * before the two meet.
+     *
      * @return Number of intermediate routing cells consumed, or
      *         nullopt when no path exists.
      */
@@ -124,9 +130,64 @@ class LayerGrid
     int txnComputeCells_ = 0;
     int txnRoutingCells_ = 0;
 
+    // Route scratch, allocated once per grid. A `seen_` entry means
+    // something only while it equals a stamp handed out for the
+    // running search, so taking fresh stamps clears every mark.
+    std::vector<std::uint32_t> seen_;
+    std::vector<int> parent_;
+    std::vector<int> queue_;
+    std::vector<int> otherQueue_;
+    std::uint32_t stamp_ = 0;
+
+    // Memo of closed regions: sets of passable cells with no passable
+    // neighbour outside the set. Passable cells only get scarcer
+    // within a layer, so a region stays closed until clear() or an
+    // abortTxn() that restores cells. Ids below firstLiveRegion_ are
+    // stale; 0 marks a cell no region has claimed.
+    std::vector<std::uint32_t> region_;
+    std::uint32_t nextRegion_ = 1;
+    std::uint32_t firstLiveRegion_ = 1;
+    std::vector<std::uint32_t> sideRegions_;
+
     void touch(int cell);
-    std::vector<int> neighbors(int cell) const;
     int nextFreeCell() const;
+
+    bool passable(int cell) const
+    {
+        return state_[cell] == CellState::Free ||
+               (state_[cell] == CellState::Routing &&
+                routingLeft_[cell] > 0);
+    }
+
+    /** Writes the up, down, left, right neighbours; returns the count. */
+    int neighbors(int cell, int (&out)[4]) const
+    {
+        const int x = cell / size_;
+        const int y = cell % size_;
+        int n = 0;
+        if (x > 0)
+            out[n++] = cell - size_;
+        if (x + 1 < size_)
+            out[n++] = cell + size_;
+        if (y > 0)
+            out[n++] = cell - 1;
+        if (y + 1 < size_)
+            out[n++] = cell + 1;
+        return n;
+    }
+
+    /** First of `count` consecutive unused stamps. */
+    std::uint32_t takeStamps(std::uint32_t count);
+    void forgetRegions() { firstLiveRegion_ = nextRegion_; }
+    /** True when the memo proves no path from `side` to `other`. */
+    bool sealedOff(const std::vector<int> &side, std::uint32_t mark,
+                   const std::vector<int> &other,
+                   std::uint32_t other_mark);
+    /** Expand one backward-search cell; true once the sides meet. */
+    bool growBackward(int cell, std::uint32_t visited,
+                      std::uint32_t target, std::uint32_t reached);
+    /** Record the passable `cells` as one new closed region. */
+    void sealRegion(const std::vector<int> &cells);
 };
 
 } // namespace dcmbqc
