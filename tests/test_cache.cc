@@ -17,6 +17,9 @@
 #include "cache/cache_key.hh"
 #include "cache/compile_cache.hh"
 #include "circuit/generators.hh"
+#include "circuit/huge_generators.hh"
+#include "mbqc/dependency.hh"
+#include "mbqc/pattern_builder.hh"
 #include "serialize/codecs.hh"
 
 namespace dcmbqc
@@ -565,6 +568,56 @@ TEST(CompileCacheApi, CompileAndExecuteHitMatchesMiss)
     // whether the schedule came from the pipeline or the cache.
     EXPECT_EQ(miss->executions[0].counts, hit->executions[0].counts);
     expectSameDistributedResult(miss->result(), hit->result());
+}
+
+TEST(CacheKey, PinnedKeysOfEveryEntryPoint)
+{
+    // On-disk cache entries are addressed by these values, so a
+    // change to the hashed byte stream orphans every stored entry.
+    // The stream spans two hash chunks, and its key must equal the
+    // materialized circuit's.
+    const auto config =
+        CompileOptions().numQpus(2).gridSize(7).seed(5).build();
+    ASSERT_TRUE(config.ok());
+    const auto stream = makeRandomCliffordTStream(5, 5000);
+    const Pattern pattern = buildPattern(makeQft(4));
+    NoiseConfig noise;
+    noise.add("delay-line");
+    noise.add("connector", {{"insertion_loss_db", 1.5}});
+
+    struct Pinned
+    {
+        const char *entry;
+        CompileRequest request;
+        std::uint64_t key, verifier;
+        std::uint64_t noisyKey, noisyVerifier;
+    };
+    const Pinned pinned[] = {
+        {"circuit", CompileRequest::fromCircuit(stream->materialize()),
+         0xdd1fc33e78cd861bull, 0xf0bea6b662548b40ull,
+         0x0eccb5822a34ec43ull, 0x4298e2d91a110b3aull},
+        {"stream", CompileRequest::fromCircuitStream(stream),
+         0xdd1fc33e78cd861bull, 0xf0bea6b662548b40ull,
+         0x0eccb5822a34ec43ull, 0x4298e2d91a110b3aull},
+        {"pattern", CompileRequest::fromPattern(pattern),
+         0xfc19044a147ceeafull, 0x643e703f2994a986ull,
+         0x0f542296158432afull, 0x6aea876385e1c7fcull},
+        {"graph",
+         CompileRequest::fromGraph(pattern.graph(),
+                                   realTimeDependencyGraph(pattern)),
+         0x286e3fa50807e02cull, 0x6ee914024bfd2f0dull,
+         0x07850da692adbceeull, 0x28b875172a3d54a1ull},
+    };
+    for (const Pinned &p : pinned) {
+        const CacheKeyPair plain =
+            computeCacheKey(p.request, *config, false);
+        const CacheKeyPair noisy =
+            computeCacheKey(p.request, *config, false, &noise);
+        EXPECT_EQ(plain.key, p.key) << p.entry;
+        EXPECT_EQ(plain.verifier, p.verifier) << p.entry;
+        EXPECT_EQ(noisy.key, p.noisyKey) << p.entry;
+        EXPECT_EQ(noisy.verifier, p.noisyVerifier) << p.entry;
+    }
 }
 
 } // namespace

@@ -4,7 +4,10 @@
  * written by a past build and checked in, and the current decoder
  * must keep accepting all of them — a codec change that breaks
  * persisted artifacts fails here instead of silently orphaning
- * users' files.
+ * users' files. `tests/golden/frames/*.bin` pin the payloads of the
+ * dcmbqcd wire protocol the same way. Every fixture must also
+ * re-encode to its exact bytes, so an encoder change that alters the
+ * layout fails here too.
  *
  * Regenerate with  DCMBQC_REGEN_GOLDEN=1 ./test_golden  after an
  * *intentional*, version-bumped format change (wall-clock fields are
@@ -14,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "mbqc/dependency.hh"
 #include "mbqc/pattern_builder.hh"
 #include "serialize/codecs.hh"
+#include "service/protocol.hh"
 #include "sim/kernel_config.hh"
 
 #ifndef DCMBQC_GOLDEN_DIR
@@ -105,6 +110,206 @@ goldenShotTreeResult()
     return std::move(result.value());
 }
 
+/** A noise config naming several mechanisms, with and without params. */
+NoiseConfig
+goldenNoise()
+{
+    NoiseConfig noise;
+    noise.add("delay-line");
+    noise.add("connector", {{"insertion_loss_db", 1.5}});
+    noise.add("correlated-burst",
+              {{"burst_rate", 0.01}, {"burst_width", 3.0}});
+    return noise;
+}
+
+/** The canonical program compiled by the monolithic baseline. */
+CompileReport
+goldenBaselineReport()
+{
+    auto report = CompilerDriver(goldenOptions())
+                      .compileBaseline(CompileRequest::fromCircuit(
+                          goldenCircuit(), "golden-baseline"));
+    if (!report.ok())
+        panic("golden baseline compile failed: ",
+              report.status().toString());
+    for (StageReport &stage : report->stages)
+        stage.millis = 0.0;
+    report->totalMillis = 0.0;
+    return std::move(report.value());
+}
+
+/**
+ * A report carrying every optional section besides executions: the
+ * cache counters of a cold compile, the retained pattern, and a race
+ * table. The table is written by hand (a live race cancels losers on
+ * wall-clock deadlines) and covers every candidate flag bit and a
+ * non-OK candidate status.
+ */
+CompileReport
+goldenPortfolioReport()
+{
+    auto report = CompilerDriver(
+                      CompileOptions(goldenOptions())
+                          .cache(std::make_shared<CompileCache>()))
+                      .compile(CompileRequest::fromCircuit(
+                          goldenCircuit(), "golden-portfolio"));
+    if (!report.ok())
+        panic("golden portfolio compile failed: ",
+              report.status().toString());
+    for (StageReport &stage : report->stages)
+        stage.millis = 0.0;
+    report->totalMillis = 0.0;
+
+    PortfolioReport race;
+    race.requested = 3;
+    race.winnerIndex = 1;
+    race.cancelledEarly = 1;
+    race.validated = true;
+    race.validationNote = "winner replayed on the schedule backend";
+    PortfolioCandidate first;
+    first.strategy = "default";
+    first.seed = 3;
+    first.logSurvival = -1.25;
+    first.successProbability = 0.2865047968601901;
+    first.makespan = 40;
+    first.connectors = 6;
+    first.cacheHit = true;
+    PortfolioCandidate second = first;
+    second.strategy = "bdir-hot";
+    second.seed = 4;
+    second.logSurvival = -0.75;
+    second.successProbability = 0.4723665527410147;
+    second.cacheHit = false;
+    second.winner = true;
+    PortfolioCandidate third;
+    third.strategy = "rcm-order";
+    third.seed = 5;
+    third.status = Status::cancelled("race decided");
+    third.cancelled = true;
+    race.candidates = {first, second, third};
+    report->portfolio = race;
+    return std::move(report.value());
+}
+
+/** A job through `request` with backends, noise and every knob set. */
+ServiceJob
+goldenJob(CompileRequest request)
+{
+    ServiceJob job;
+    job.request = std::move(request);
+    job.config = goldenOptions().build().value();
+    job.deadlineMillis = 2500;
+    job.streamProgress = true;
+    ExecOptions plain;
+    plain.shots = 32;
+    plain.seed = 9;
+    ExecOptions noisy;
+    noisy.backend = "mc-loss";
+    noisy.shots = 64;
+    noisy.seed = -3;
+    noisy.numThreads = 2;
+    noisy.applyByproducts = false;
+    noisy.lossModel.attenuationDbPerKm = 0.3;
+    noisy.noise = NoiseConfig().add("fusion");
+    job.backends = {plain, noisy};
+    job.noise = goldenNoise();
+    job.portfolio = 3;
+    job.window = 64;
+    return job;
+}
+
+ServiceJob
+goldenCircuitJob()
+{
+    return goldenJob(
+        CompileRequest::fromCircuit(goldenCircuit(), "job-circuit"));
+}
+
+ServiceJob
+goldenPatternJob()
+{
+    ServiceJob job = goldenJob(CompileRequest::fromPattern(
+        buildPattern(goldenCircuit()), "job-pattern"));
+    job.baseline = true;
+    return job;
+}
+
+ServiceJob
+goldenGraphJob()
+{
+    const Pattern pattern = buildPattern(goldenCircuit());
+    return goldenJob(CompileRequest::fromGraph(
+        pattern.graph(), realTimeDependencyGraph(pattern), "job-graph"));
+}
+
+CacheProbe
+goldenProbe()
+{
+    return CacheProbe{0x0123456789abcdefull, 0xfedcba9876543210ull};
+}
+
+CompileReply
+goldenReply()
+{
+    CompileReply reply;
+    reply.status = Status::deadlineExceeded("deadline of 5 ms exceeded");
+    reply.cacheHit = true;
+    reply.cacheKey = 0x00c0ffee00c0ffeeull;
+    reply.reportArtifact = encodeCircuitArtifact(goldenCircuit());
+    return reply;
+}
+
+ProgressEvent
+goldenWindowEvent()
+{
+    ProgressEvent event;
+    event.label = "golden";
+    event.pass = "PatternStream";
+    event.window = true;
+    event.windowIndex = 3;
+    event.windowSettled = 256;
+    event.windowTotal = 1024;
+    event.frontierLive = 17;
+    return event;
+}
+
+ServiceStats
+goldenStats()
+{
+    ServiceStats stats;
+    stats.requestsTotal = 12;
+    stats.compileRequests = 7;
+    stats.executeRequests = 2;
+    stats.statsRequests = 2;
+    stats.pings = 1;
+    stats.succeeded = 6;
+    stats.failed = 1;
+    stats.rejectedQueueFull = 1;
+    stats.deadlineExceeded = 1;
+    stats.cancelled = 1;
+    stats.hotReplies = 3;
+    stats.cacheHitReplies = 4;
+    stats.inFlight = 1;
+    stats.queueLimit = 16;
+    stats.workers = 4;
+    stats.draining = true;
+    stats.uptimeMillis = 98765;
+    stats.latencySamples = 9;
+    stats.p50Millis = 1.5;
+    stats.p99Millis = 20.25;
+    stats.maxMillis = 21.0;
+    stats.meanMillis = 3.75;
+    stats.cache = {7, 2, 1, 3, 4};
+    stats.cacheEntries = 5;
+    stats.stages = {{"Partition", 6, 42.0, 9.5},
+                    {"PlaceLocal", 6, 120.5, 30.25}};
+    stats.portfolioRaces = 2;
+    stats.portfolioCandidates = 6;
+    stats.portfolioCancelledEarly = 1;
+    stats.portfolioWinners = {{"default", 1}, {"bdir-hot", 1}};
+    return stats;
+}
+
 /**
  * Fixture writer, enabled by DCMBQC_REGEN_GOLDEN=1. Kept inside the
  * test binary so the corpus can only ever be produced by code that
@@ -140,7 +345,21 @@ regenerate()
          encodeExecResultArtifact(report.executions[0])},
         {"exec_shot_tree.dcmb",
          encodeExecResultArtifact(goldenShotTreeResult())},
+        {"noise_config.dcmb", encodeNoiseConfigArtifact(goldenNoise())},
+        {"report_baseline.dcmb",
+         encodeCompileReportArtifact(goldenBaselineReport())},
+        {"report_portfolio.dcmb",
+         encodeCompileReportArtifact(goldenPortfolioReport())},
+        {"frames/job_circuit.bin", encodeServiceJob(goldenCircuitJob())},
+        {"frames/job_pattern.bin", encodeServiceJob(goldenPatternJob())},
+        {"frames/job_graph.bin", encodeServiceJob(goldenGraphJob())},
+        {"frames/cache_probe.bin", encodeCacheProbe(goldenProbe())},
+        {"frames/compile_reply.bin", encodeCompileReply(goldenReply())},
+        {"frames/progress_window.bin",
+         encodeProgressEvent(goldenWindowEvent())},
+        {"frames/service_stats.bin", encodeServiceStats(goldenStats())},
     };
+    std::filesystem::create_directories(goldenPath("frames"));
     for (const Entry &entry : entries) {
         const Status saved =
             saveArtifactFile(goldenPath(entry.file), entry.bytes);
@@ -280,6 +499,167 @@ TEST_F(GoldenCorpus, ShotTreeExecResultFixtureIsByteStable)
 
     const ExecResult fresh = goldenShotTreeResult();
     EXPECT_EQ(encodeExecResultArtifact(fresh), bytes);
+}
+
+/** Decoding `file` and encoding the value again gives its bytes. */
+template <typename Decode, typename Encode>
+void
+expectReencodes(const char *file, const std::vector<std::uint8_t> &bytes,
+                Decode decode, Encode encode)
+{
+    auto decoded = decode(bytes);
+    ASSERT_TRUE(decoded.ok()) << file << ": "
+                              << decoded.status().toString();
+    EXPECT_EQ(encode(*decoded), bytes) << file;
+}
+
+TEST_F(GoldenCorpus, EveryFixtureReencodesToItsExactBytes)
+{
+    expectReencodes("circuit.dcmb", load("circuit.dcmb"),
+                    decodeCircuitArtifact, encodeCircuitArtifact);
+    expectReencodes("pattern.dcmb", load("pattern.dcmb"),
+                    decodePatternArtifact, encodePatternArtifact);
+    expectReencodes("graph.dcmb", load("graph.dcmb"),
+                    decodeGraphArtifact, encodeGraphArtifact);
+    expectReencodes("digraph.dcmb", load("digraph.dcmb"),
+                    decodeDigraphArtifact, encodeDigraphArtifact);
+    expectReencodes("config.dcmb", load("config.dcmb"),
+                    decodeConfigArtifact, encodeConfigArtifact);
+    expectReencodes("schedule.dcmb", load("schedule.dcmb"),
+                    decodeScheduleArtifact, encodeScheduleArtifact);
+    expectReencodes("local_schedule.dcmb", load("local_schedule.dcmb"),
+                    decodeLocalScheduleArtifact,
+                    encodeLocalScheduleArtifact);
+    for (const char *file :
+         {"report.dcmb", "report_baseline.dcmb",
+          "report_portfolio.dcmb"})
+        expectReencodes(file, load(file), decodeCompileReportArtifact,
+                        encodeCompileReportArtifact);
+    for (const char *file : {"exec_result.dcmb", "exec_shot_tree.dcmb"})
+        expectReencodes(file, load(file), decodeExecResultArtifact,
+                        encodeExecResultArtifact);
+    expectReencodes("noise_config.dcmb", load("noise_config.dcmb"),
+                    decodeNoiseConfigArtifact,
+                    encodeNoiseConfigArtifact);
+    for (const char *file : {"frames/job_circuit.bin",
+                             "frames/job_pattern.bin",
+                             "frames/job_graph.bin"})
+        expectReencodes(file, load(file), decodeServiceJob,
+                        encodeServiceJob);
+    expectReencodes("frames/cache_probe.bin",
+                    load("frames/cache_probe.bin"), decodeCacheProbe,
+                    encodeCacheProbe);
+    expectReencodes("frames/compile_reply.bin",
+                    load("frames/compile_reply.bin"),
+                    decodeCompileReply, encodeCompileReply);
+    expectReencodes("frames/progress_window.bin",
+                    load("frames/progress_window.bin"),
+                    decodeProgressEvent, encodeProgressEvent);
+    expectReencodes("frames/service_stats.bin",
+                    load("frames/service_stats.bin"),
+                    decodeServiceStats, encodeServiceStats);
+}
+
+TEST_F(GoldenCorpus, HandWrittenFixturesRegenerateByteForByte)
+{
+    EXPECT_EQ(encodeNoiseConfigArtifact(goldenNoise()),
+              load("noise_config.dcmb"));
+    EXPECT_EQ(encodeServiceJob(goldenCircuitJob()),
+              load("frames/job_circuit.bin"));
+    EXPECT_EQ(encodeServiceJob(goldenPatternJob()),
+              load("frames/job_pattern.bin"));
+    EXPECT_EQ(encodeServiceJob(goldenGraphJob()),
+              load("frames/job_graph.bin"));
+    EXPECT_EQ(encodeCacheProbe(goldenProbe()),
+              load("frames/cache_probe.bin"));
+    EXPECT_EQ(encodeCompileReply(goldenReply()),
+              load("frames/compile_reply.bin"));
+    EXPECT_EQ(encodeProgressEvent(goldenWindowEvent()),
+              load("frames/progress_window.bin"));
+    EXPECT_EQ(encodeServiceStats(goldenStats()),
+              load("frames/service_stats.bin"));
+}
+
+TEST_F(GoldenCorpus, NoiseConfigFixtureDecodes)
+{
+    auto decoded = decodeNoiseConfigArtifact(load("noise_config.dcmb"));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
+    EXPECT_EQ(*decoded, goldenNoise());
+}
+
+TEST_F(GoldenCorpus, BaselineReportFixtureDecodes)
+{
+    auto decoded =
+        decodeCompileReportArtifact(load("report_baseline.dcmb"));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
+    EXPECT_EQ(decoded->label, "golden-baseline");
+    EXPECT_FALSE(decoded->distributed.has_value());
+    ASSERT_TRUE(decoded->baseline.has_value());
+    EXPECT_GT(decoded->baseline->schedule.executionTime(), 0);
+}
+
+TEST_F(GoldenCorpus, PortfolioReportFixtureCarriesEverySection)
+{
+    auto decoded =
+        decodeCompileReportArtifact(load("report_portfolio.dcmb"));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
+    ASSERT_TRUE(decoded->distributed.has_value());
+    ASSERT_TRUE(decoded->cacheStats.has_value());
+    EXPECT_EQ(decoded->cacheStats->misses, 1u);
+    EXPECT_NE(decoded->cacheKey, 0u);
+    ASSERT_TRUE(decoded->pattern.has_value());
+    EXPECT_EQ(decoded->pattern->numWires(), 4);
+    ASSERT_TRUE(decoded->portfolio.has_value());
+    const PortfolioReport &race = *decoded->portfolio;
+    EXPECT_EQ(race.winnerIndex, 1);
+    EXPECT_TRUE(race.validated);
+    ASSERT_EQ(race.candidates.size(), 3u);
+    EXPECT_TRUE(race.candidates[0].cacheHit);
+    EXPECT_TRUE(race.candidates[1].winner);
+    EXPECT_TRUE(race.candidates[2].cancelled);
+    EXPECT_EQ(race.candidates[2].status.code(), StatusCode::Cancelled);
+}
+
+TEST_F(GoldenCorpus, FrameFixturesDecode)
+{
+    const CompileRequest::EntryPoint entries[] = {
+        CompileRequest::EntryPoint::Circuit,
+        CompileRequest::EntryPoint::Pattern,
+        CompileRequest::EntryPoint::Graph};
+    const char *files[] = {"frames/job_circuit.bin",
+                           "frames/job_pattern.bin",
+                           "frames/job_graph.bin"};
+    for (int i = 0; i < 3; ++i) {
+        auto job = decodeServiceJob(load(files[i]));
+        ASSERT_TRUE(job.ok()) << files[i] << ": "
+                              << job.status().toString();
+        ASSERT_TRUE(job->request.has_value());
+        EXPECT_EQ(job->request->entryPoint(), entries[i]);
+        ASSERT_EQ(job->backends.size(), 2u);
+        EXPECT_EQ(job->backends[1].backend, "mc-loss");
+        ASSERT_TRUE(job->backends[1].noise.has_value());
+        ASSERT_TRUE(job->noise.has_value());
+        EXPECT_EQ(*job->noise, goldenNoise());
+        EXPECT_EQ(job->baseline,
+                  entries[i] == CompileRequest::EntryPoint::Pattern);
+    }
+
+    auto reply = decodeCompileReply(load("frames/compile_reply.bin"));
+    ASSERT_TRUE(reply.ok()) << reply.status().toString();
+    EXPECT_EQ(reply->status.code(), StatusCode::DeadlineExceeded);
+    EXPECT_TRUE(reply->cacheHit);
+    EXPECT_TRUE(decodeCircuitArtifact(reply->reportArtifact).ok());
+
+    auto event =
+        decodeProgressEvent(load("frames/progress_window.bin"));
+    ASSERT_TRUE(event.ok()) << event.status().toString();
+    EXPECT_TRUE(event->window);
+    EXPECT_EQ(event->windowTotal, 1024u);
+
+    auto stats = decodeServiceStats(load("frames/service_stats.bin"));
+    ASSERT_TRUE(stats.ok()) << stats.status().toString();
+    EXPECT_EQ(stats->stages.size(), 2u);
+    EXPECT_EQ(stats->portfolioWinners.size(), 2u);
 }
 
 } // namespace
