@@ -66,6 +66,14 @@ class Status
 
     static Status okStatus() { return Status(); }
 
+    /** A status of any code; an Ok status carries no message. */
+    static Status
+    fromCode(StatusCode code, std::string message)
+    {
+        return code == StatusCode::Ok ? Status()
+                                      : Status(code, std::move(message));
+    }
+
     static Status
     invalidArgument(std::string message)
     {

@@ -41,10 +41,9 @@ computeCacheKey(const CompileRequest &request,
       case CompileRequest::EntryPoint::CircuitStream:
         // The gates are folded in below, chunk by chunk, so a
         // million-gate stream never materializes its encoded form.
-        writer.writeI32(request.stream().numQubits());
-        writer.writeString(request.stream().name());
-        writer.writeU32(
-            static_cast<std::uint32_t>(request.stream().totalGates()));
+        encodeCircuitHeader(writer, request.stream().numQubits(),
+                            request.stream().name(),
+                            request.stream().totalGates());
         break;
       case CompileRequest::EntryPoint::Pattern:
         encodePattern(writer, request.pattern());
@@ -83,13 +82,8 @@ computeCacheKey(const CompileRequest &request,
             if (stream.next(kHashChunkGates, gates) == 0)
                 break;
             BinaryWriter chunk;
-            for (const Gate &gate : gates) {
-                chunk.writeU8(static_cast<std::uint8_t>(gate.kind));
-                chunk.writeI32(gate.q0);
-                chunk.writeI32(gate.q1);
-                chunk.writeI32(gate.q2);
-                chunk.writeF64(gate.angle);
-            }
+            for (const Gate &gate : gates)
+                encodeGate(chunk, gate);
             absorb(chunk);
         }
         stream.reset();

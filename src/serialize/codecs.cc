@@ -8,181 +8,297 @@
 namespace dcmbqc
 {
 
+// --- Field lists -----------------------------------------------------------
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, Gate> &gate)
+{
+    io.tag(gate.kind, GateKind::CCX, "gate kind");
+    io(gate.q0, gate.q1, gate.q2, gate.angle);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, GridSpec> &grid)
+{
+    io(grid.size);
+    io.tag(grid.resourceState, ResourceStateType::Star7,
+           "resource-state");
+    io(grid.plRatio, grid.reservedBoundary);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, Partitioning> &part)
+{
+    // Partitioning guards its invariant, so its fields cross the wire
+    // as copies and the reader rebuilds the value once they check out.
+    int k = part.numParts();
+    std::vector<int> assignment = part.assignment();
+    io(k, assignment);
+    io.check([&]() -> std::string {
+        if (k < 1)
+            return "partition k must be >= 1, got " + std::to_string(k);
+        for (int p : assignment)
+            if (p < 0 || p >= k)
+                return "partition assignment " + std::to_string(p) +
+                    " outside [0, " + std::to_string(k) + ")";
+        return {};
+    });
+    if constexpr (Io::reading)
+        if (io.ok())
+            part = Partitioning(std::move(assignment), k);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, ScheduleMetrics> &metrics)
+{
+    io(metrics.tauLocal, metrics.tauRemote, metrics.makespan);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, ExecutionLayer> &layer)
+{
+    io(layer.nodes, layer.computeCells, layer.routingCells);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, LocalSchedule> &schedule)
+{
+    io(schedule.grid);
+    io.list(schedule.layers, 12);
+    io(schedule.nodeLayer);
+    wireAs<std::int64_t>(io, schedule.routingFusions);
+    wireAs<std::int64_t>(io, schedule.edgeFusions);
+    io.check([&]() -> std::string {
+        const auto layers = static_cast<LayerId>(schedule.layers.size());
+        for (LayerId layer : schedule.nodeLayer)
+            if (layer != invalidLayer && (layer < 0 || layer >= layers))
+                return "nodeLayer entry " + std::to_string(layer) +
+                    " outside the " + std::to_string(layers) + " layers";
+        return {};
+    });
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, Schedule> &schedule)
+{
+    io(schedule.mainStart, schedule.syncStart, schedule.makespan);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, DcMbqcResult> &result)
+{
+    io(result.partition, result.partitionModularity,
+       result.partitionImbalance, result.numConnectors);
+    io.list(result.localSchedules, 1);
+    io(result.schedule, result.metrics);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, BaselineResult> &result)
+{
+    io(result.schedule, result.lifetime.tauFusee,
+       result.lifetime.tauMeasuree);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, DcMbqcConfig> &config)
+{
+    io(config.numQpus, config.grid, config.kmax, config.partition.k,
+       config.partition.epsilonQ, config.partition.alphaMax,
+       config.partition.gamma, config.partition.maxIterations,
+       config.partition.seed, config.useBdir,
+       config.bdir.initialTemperature, config.bdir.coolingRate,
+       config.bdir.maxIterations, config.bdir.seed);
+    io.tag(config.order, PlacementOrder::DependencyAwareRcm,
+           "placement-order");
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, PortfolioCandidate> &entry)
+{
+    io(entry.strategy, entry.seed);
+    io.bits("portfolio-candidate", entry.cacheHit, entry.cancelled,
+            entry.winner);
+    io(entry.status, entry.logSurvival, entry.successProbability,
+       entry.makespan, entry.connectors, entry.wallMillis);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, PortfolioReport> &race)
+{
+    wireAs<std::uint32_t>(io, race.requested);
+    io(race.winnerIndex, race.raceMillis);
+    wireAs<std::uint32_t>(io, race.cancelledEarly);
+    io(race.validated, race.validationNote);
+    io.list(race.candidates, 10);
+    io.check([&]() -> std::string {
+        if (race.winnerIndex < -1 ||
+            race.winnerIndex >= static_cast<int>(race.candidates.size()))
+            return "portfolio winner index " +
+                std::to_string(race.winnerIndex) +
+                " outside the candidate table";
+        return {};
+    });
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, StageReport> &stage)
+{
+    io(stage.pass, stage.millis, stage.status, stage.note);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, CacheStats> &stats)
+{
+    io(stats.hits, stats.misses, stats.evictions, stats.diskHits,
+       stats.diskWrites);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, ExecResult> &result)
+{
+    io(result.backend, result.label, result.shots,
+       result.completedShots, result.numWires, result.seed,
+       result.threads, result.wallMillis);
+    io.map(result.counts, 5, "histogram",
+           [](const std::string &key, std::int64_t count) -> std::string {
+               if (count < 0)
+                   return "negative outcome count " +
+                       std::to_string(count) + " for '" + key + "'";
+               return {};
+           });
+    io.map(result.probabilities, 5, "probabilities",
+           [](const std::string &key, double p) -> std::string {
+               if (!(p >= 0.0 && p <= 1.0 + 1e-9))
+                   return "probability of '" + key + "' outside [0, 1]";
+               return {};
+           });
+    io(result.lostShots, result.lostPhotons,
+       result.analyticSuccessProbability, result.maxStorageCycles,
+       result.meanStorageCycles);
+    io.list(result.notes, 4);
+    io.check([&]() -> std::string {
+        if (result.shots < 0 || result.completedShots < 0 ||
+            result.completedShots > result.shots)
+            return "shot counts inconsistent: " +
+                std::to_string(result.completedShots) + " of " +
+                std::to_string(result.shots) + " completed";
+        // Stops at the first excess, so the sum cannot overflow.
+        std::int64_t counted = 0;
+        for (const auto &entry : result.counts)
+            if ((counted += entry.second) > result.shots)
+                return "histogram holds more than " +
+                    std::to_string(result.shots) + " outcomes for " +
+                    std::to_string(result.shots) + " shots";
+        return {};
+    });
+}
+
+// The hand-written Pattern codec as an entry of the report's list.
+void
+transfer(WireWriter &io, const Pattern &pattern)
+{
+    encodePattern(io.stream(), pattern);
+}
+
+void
+transfer(WireReader &io, Pattern &pattern)
+{
+    pattern = decodePattern(io.stream());
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, CompileReport> &report)
+{
+    // The flag byte says which sections follow, and every report has
+    // a result. Bits 16 (executions), 32 (retained pattern) and 64
+    // (race table) are absent from older artifacts, which keeps them
+    // decodable byte for byte.
+    bool distributed = report.distributed.has_value();
+    bool baseline = report.baseline.has_value();
+    bool stats = report.cacheStats.has_value();
+    bool executions = !report.executions.empty();
+    bool pattern = report.pattern.has_value();
+    bool portfolio = report.portfolio.has_value();
+    io(report.label);
+    io.bits("compile-report", distributed, baseline, report.cacheHit,
+            stats, executions, pattern, portfolio);
+    io.check([&]() -> std::string {
+        if (!distributed && !baseline)
+            return "compile-report flags name no result payload";
+        return {};
+    });
+    io.optional(distributed, report.distributed);
+    io.optional(baseline, report.baseline);
+    io.list(report.stages, 1);
+    io.list(report.warnings, 1);
+    io(report.totalMillis, report.cacheKey, report.cacheVerifier);
+    io.optional(stats, report.cacheStats);
+    if (executions) {
+        io.list(report.executions, 1);
+        io.check([&]() -> std::string {
+            if (report.executions.empty())
+                return "executions flag set on an empty list";
+            return {};
+        });
+    }
+    io.optional(pattern, report.pattern);
+    io.optional(portfolio, report.portfolio);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, NoiseParam> &param)
+{
+    io(param.name, param.value);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, MechanismSpec> &spec)
+{
+    io(spec.mechanism);
+    io.check([&]() -> std::string {
+        if (!isKnownNoiseMechanism(spec.mechanism))
+            return "unknown noise mechanism '" + spec.mechanism +
+                "' in noise-config artifact";
+        return {};
+    });
+    io.list(spec.params, 12);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, NoiseConfig> &config)
+{
+    io.list(config.mechanisms, 8);
+}
+
+template void transfer<WireWriter>(WireWriter &, const DcMbqcConfig &);
+template void transfer<WireReader>(WireReader &, DcMbqcConfig &);
+template void transfer<WireWriter>(WireWriter &, const NoiseConfig &);
+template void transfer<WireReader>(WireReader &, NoiseConfig &);
+template void transfer<WireWriter>(WireWriter &, const CacheStats &);
+template void transfer<WireReader>(WireReader &, CacheStats &);
+
 namespace
 {
-
-// --- Shared helpers --------------------------------------------------------
-
-Status
-statusFromCode(StatusCode code, std::string message)
-{
-    switch (code) {
-      case StatusCode::Ok:
-        return Status::okStatus();
-      case StatusCode::InvalidArgument:
-        return Status::invalidArgument(std::move(message));
-      case StatusCode::InvalidConfig:
-        return Status::invalidConfig(std::move(message));
-      case StatusCode::FailedPrecondition:
-        return Status::failedPrecondition(std::move(message));
-      case StatusCode::Internal:
-        return Status::internal(std::move(message));
-      case StatusCode::Cancelled:
-        return Status::cancelled(std::move(message));
-      case StatusCode::DeadlineExceeded:
-        return Status::deadlineExceeded(std::move(message));
-      case StatusCode::ResourceExhausted:
-        return Status::resourceExhausted(std::move(message));
-      case StatusCode::Unavailable:
-        return Status::unavailable(std::move(message));
-    }
-    return Status::internal(std::move(message));
-}
-
-void
-encodeStatus(BinaryWriter &writer, const Status &status)
-{
-    writer.writeU8(static_cast<std::uint8_t>(status.code()));
-    writer.writeString(status.message());
-}
-
-Status
-decodeStatus(BinaryReader &reader)
-{
-    const std::uint8_t code = reader.readU8();
-    std::string message = reader.readString();
-    if (code > static_cast<std::uint8_t>(StatusCode::Unavailable)) {
-        reader.fail("invalid status code tag " + std::to_string(code));
-        return Status::okStatus();
-    }
-    return statusFromCode(static_cast<StatusCode>(code),
-                          std::move(message));
-}
-
-void
-encodeGridSpec(BinaryWriter &writer, const GridSpec &grid)
-{
-    writer.writeI32(grid.size);
-    writer.writeU8(static_cast<std::uint8_t>(grid.resourceState));
-    writer.writeI32(grid.plRatio);
-    writer.writeI32(grid.reservedBoundary);
-}
-
-GridSpec
-decodeGridSpec(BinaryReader &reader)
-{
-    GridSpec grid;
-    grid.size = reader.readI32();
-    const std::uint8_t state = reader.readU8();
-    if (state > static_cast<std::uint8_t>(ResourceStateType::Star7))
-        reader.fail("invalid resource-state tag " +
-                    std::to_string(state));
-    else
-        grid.resourceState = static_cast<ResourceStateType>(state);
-    grid.plRatio = reader.readI32();
-    grid.reservedBoundary = reader.readI32();
-    return grid;
-}
-
-void
-encodePartitioning(BinaryWriter &writer, const Partitioning &part)
-{
-    writer.writeI32(part.numParts());
-    writer.writeI32Vector(part.assignment());
-}
-
-Partitioning
-decodePartitioning(BinaryReader &reader)
-{
-    const int k = reader.readI32();
-    const std::vector<std::int32_t> assignment =
-        reader.readI32Vector();
-    if (!reader.ok())
-        return {};
-    if (k < 1) {
-        reader.fail("partition k must be >= 1, got " +
-                    std::to_string(k));
-        return {};
-    }
-    for (int p : assignment) {
-        if (p < 0 || p >= k) {
-            reader.fail("partition assignment " + std::to_string(p) +
-                        " outside [0, " + std::to_string(k) + ")");
-            return {};
-        }
-    }
-    return Partitioning(std::vector<int>(assignment.begin(),
-                                         assignment.end()),
-                        k);
-}
-
-void
-encodeMetrics(BinaryWriter &writer, const ScheduleMetrics &metrics)
-{
-    writer.writeI32(metrics.tauLocal);
-    writer.writeI32(metrics.tauRemote);
-    writer.writeI32(metrics.makespan);
-}
-
-ScheduleMetrics
-decodeMetrics(BinaryReader &reader)
-{
-    ScheduleMetrics metrics;
-    metrics.tauLocal = reader.readI32();
-    metrics.tauRemote = reader.readI32();
-    metrics.makespan = reader.readI32();
-    return metrics;
-}
-
-void
-encodeDcResult(BinaryWriter &writer, const DcMbqcResult &result)
-{
-    encodePartitioning(writer, result.partition);
-    writer.writeF64(result.partitionModularity);
-    writer.writeF64(result.partitionImbalance);
-    writer.writeI32(result.numConnectors);
-    writer.writeU32(
-        static_cast<std::uint32_t>(result.localSchedules.size()));
-    for (const auto &local : result.localSchedules)
-        encodeLocalSchedule(writer, local);
-    encodeSchedule(writer, result.schedule);
-    encodeMetrics(writer, result.metrics);
-}
-
-DcMbqcResult
-decodeDcResult(BinaryReader &reader)
-{
-    DcMbqcResult result;
-    result.partition = decodePartitioning(reader);
-    result.partitionModularity = reader.readF64();
-    result.partitionImbalance = reader.readF64();
-    result.numConnectors = reader.readI32();
-    const std::uint32_t locals = reader.readCount(1);
-    for (std::uint32_t i = 0; i < locals && reader.ok(); ++i)
-        result.localSchedules.push_back(decodeLocalSchedule(reader));
-    result.schedule = decodeSchedule(reader);
-    result.metrics = decodeMetrics(reader);
-    return result;
-}
-
-void
-encodeBaselineResult(BinaryWriter &writer,
-                     const BaselineResult &result)
-{
-    encodeLocalSchedule(writer, result.schedule);
-    writer.writeI32(result.lifetime.tauFusee);
-    writer.writeI32(result.lifetime.tauMeasuree);
-}
-
-BaselineResult
-decodeBaselineResult(BinaryReader &reader)
-{
-    BaselineResult result;
-    result.schedule = decodeLocalSchedule(reader);
-    result.lifetime.tauFusee = reader.readI32();
-    result.lifetime.tauMeasuree = reader.readI32();
-    return result;
-}
 
 /**
  * The flow-derived X/Z dependency sets, computed without asserts so
@@ -221,11 +337,11 @@ sameDigraph(const Digraph &a, const Digraph &b)
     return true;
 }
 
-template <typename T, typename Decode>
-Expected<T>
-decodeArtifactAs(ArtifactKind kind,
-                 const std::vector<std::uint8_t> &bytes,
+template <typename Decode>
+auto
+decodeArtifactAs(ArtifactKind kind, const std::vector<std::uint8_t> &bytes,
                  Decode decode)
+    -> decltype(decodeWhole(nullptr, 0, "", decode))
 {
     auto view = openArtifact(bytes);
     if (!view.ok())
@@ -235,24 +351,17 @@ decodeArtifactAs(ArtifactKind kind,
             std::string("artifact kind mismatch: expected ") +
             artifactKindName(kind) + ", found " +
             artifactKindName(view->kind));
-    BinaryReader reader(view->payload, view->payloadSize);
-    T value = decode(reader);
-    if (!reader.ok())
-        return reader.status();
-    if (!reader.atEnd())
-        return Status::invalidArgument(
-            "artifact corrupted: " +
-            std::to_string(reader.remaining()) +
-            " trailing payload bytes");
-    return value;
+    return decodeWhole(view->payload, view->payloadSize,
+                       std::string(artifactKindName(kind)) + " artifact",
+                       decode);
 }
 
-template <typename Encode>
+template <typename T, typename Encode>
 std::vector<std::uint8_t>
-sealPayload(ArtifactKind kind, Encode encode)
+sealPayload(ArtifactKind kind, const T &value, Encode encode)
 {
     BinaryWriter writer;
-    encode(writer);
+    encode(writer, value);
     return sealArtifact(kind, writer.bytes());
 }
 
@@ -261,18 +370,27 @@ sealPayload(ArtifactKind kind, Encode encode)
 // --- Circuit ---------------------------------------------------------------
 
 void
+encodeCircuitHeader(BinaryWriter &writer, int qubits,
+                    const std::string &name, std::size_t gates)
+{
+    writer.writeI32(qubits);
+    writer.writeString(name);
+    writer.writeU32(static_cast<std::uint32_t>(gates));
+}
+
+void
+encodeGate(BinaryWriter &writer, const Gate &gate)
+{
+    writeRecord(writer, gate);
+}
+
+void
 encodeCircuit(BinaryWriter &writer, const Circuit &circuit)
 {
-    writer.writeI32(circuit.numQubits());
-    writer.writeString(circuit.name());
-    writer.writeU32(static_cast<std::uint32_t>(circuit.numGates()));
-    for (const Gate &gate : circuit.gates()) {
-        writer.writeU8(static_cast<std::uint8_t>(gate.kind));
-        writer.writeI32(gate.q0);
-        writer.writeI32(gate.q1);
-        writer.writeI32(gate.q2);
-        writer.writeF64(gate.angle);
-    }
+    encodeCircuitHeader(writer, circuit.numQubits(), circuit.name(),
+                        circuit.numGates());
+    for (const Gate &gate : circuit.gates())
+        encodeGate(writer, gate);
 }
 
 Circuit
@@ -288,22 +406,13 @@ decodeCircuit(BinaryReader &reader)
         return Circuit(1);
     }
     Circuit circuit(qubits, std::move(name));
+    WireReader io(reader);
     const std::uint32_t gates = reader.readCount(21);
     for (std::uint32_t i = 0; i < gates && reader.ok(); ++i) {
         Gate gate;
-        const std::uint8_t kind = reader.readU8();
-        gate.q0 = reader.readI32();
-        gate.q1 = reader.readI32();
-        gate.q2 = reader.readI32();
-        gate.angle = reader.readF64();
+        io(gate);
         if (!reader.ok())
             break;
-        if (kind > static_cast<std::uint8_t>(GateKind::CCX)) {
-            reader.fail("invalid gate kind tag " +
-                        std::to_string(kind));
-            break;
-        }
-        gate.kind = static_cast<GateKind>(kind);
         const QubitId used[3] = {gate.q0, gate.q1, gate.q2};
         bool valid = true, distinct = true;
         for (int q = 0; q < gate.arity(); ++q) {
@@ -537,653 +646,48 @@ decodePattern(BinaryReader &reader)
     return pattern;
 }
 
-// --- Config ----------------------------------------------------------------
+// --- Payload and artifact wrappers -----------------------------------------
 
-void
-encodeConfig(BinaryWriter &writer, const DcMbqcConfig &config)
-{
-    writer.writeI32(config.numQpus);
-    encodeGridSpec(writer, config.grid);
-    writer.writeI32(config.kmax);
-    writer.writeI32(config.partition.k);
-    writer.writeF64(config.partition.epsilonQ);
-    writer.writeF64(config.partition.alphaMax);
-    writer.writeF64(config.partition.gamma);
-    writer.writeI32(config.partition.maxIterations);
-    writer.writeU64(config.partition.seed);
-    writer.writeU8(config.useBdir ? 1 : 0);
-    writer.writeF64(config.bdir.initialTemperature);
-    writer.writeF64(config.bdir.coolingRate);
-    writer.writeI32(config.bdir.maxIterations);
-    writer.writeU64(config.bdir.seed);
-    writer.writeU8(static_cast<std::uint8_t>(config.order));
-}
+// encodeX / decodeX of a record with a field list.
+#define DCMBQC_RECORD_CODECS(X, Type)                                       \
+    void encode##X(BinaryWriter &writer, const Type &value)                \
+    {                                                                       \
+        writeRecord(writer, value);                                         \
+    }                                                                       \
+    Type decode##X(BinaryReader &reader) { return readRecord<Type>(reader); }
 
-DcMbqcConfig
-decodeConfig(BinaryReader &reader)
-{
-    DcMbqcConfig config;
-    config.numQpus = reader.readI32();
-    config.grid = decodeGridSpec(reader);
-    config.kmax = reader.readI32();
-    config.partition.k = reader.readI32();
-    config.partition.epsilonQ = reader.readF64();
-    config.partition.alphaMax = reader.readF64();
-    config.partition.gamma = reader.readF64();
-    config.partition.maxIterations = reader.readI32();
-    config.partition.seed = reader.readU64();
-    config.useBdir = reader.readU8() != 0;
-    config.bdir.initialTemperature = reader.readF64();
-    config.bdir.coolingRate = reader.readF64();
-    config.bdir.maxIterations = reader.readI32();
-    config.bdir.seed = reader.readU64();
-    const std::uint8_t order = reader.readU8();
-    if (order >
-        static_cast<std::uint8_t>(PlacementOrder::DependencyAwareRcm))
-        reader.fail("invalid placement-order tag " +
-                    std::to_string(order));
-    else
-        config.order = static_cast<PlacementOrder>(order);
-    return config;
-}
-
-// --- Schedules -------------------------------------------------------------
-
-void
-encodeLocalSchedule(BinaryWriter &writer, const LocalSchedule &schedule)
-{
-    encodeGridSpec(writer, schedule.grid);
-    writer.writeU32(static_cast<std::uint32_t>(schedule.layers.size()));
-    for (const ExecutionLayer &layer : schedule.layers) {
-        writer.writeI32Vector(layer.nodes);
-        writer.writeI32(layer.computeCells);
-        writer.writeI32(layer.routingCells);
+// encodeXArtifact / decodeXArtifact: the payload pair encodeX /
+// decodeX inside the envelope of ArtifactKind::X.
+#define DCMBQC_ARTIFACT_CODECS(X, Type)                                     \
+    std::vector<std::uint8_t> encode##X##Artifact(const Type &value)        \
+    {                                                                       \
+        return sealPayload(ArtifactKind::X, value, encode##X);              \
+    }                                                                       \
+    Expected<Type> decode##X##Artifact(                                     \
+        const std::vector<std::uint8_t> &bytes)                             \
+    {                                                                       \
+        return decodeArtifactAs(ArtifactKind::X, bytes, decode##X);         \
     }
-    writer.writeI32Vector(schedule.nodeLayer);
-    writer.writeI64(schedule.routingFusions);
-    writer.writeI64(schedule.edgeFusions);
-}
 
-LocalSchedule
-decodeLocalSchedule(BinaryReader &reader)
-{
-    LocalSchedule schedule;
-    schedule.grid = decodeGridSpec(reader);
-    const std::uint32_t layers = reader.readCount(12);
-    for (std::uint32_t i = 0; i < layers && reader.ok(); ++i) {
-        ExecutionLayer layer;
-        layer.nodes = reader.readI32Vector();
-        layer.computeCells = reader.readI32();
-        layer.routingCells = reader.readI32();
-        schedule.layers.push_back(std::move(layer));
-    }
-    schedule.nodeLayer = reader.readI32Vector();
-    schedule.routingFusions = reader.readI64();
-    schedule.edgeFusions = reader.readI64();
-    for (LayerId layer : schedule.nodeLayer) {
-        if (layer != invalidLayer &&
-            (layer < 0 ||
-             layer >= static_cast<LayerId>(schedule.layers.size()))) {
-            reader.fail("nodeLayer entry " + std::to_string(layer) +
-                        " outside the " +
-                        std::to_string(schedule.layers.size()) +
-                        " layers");
-            break;
-        }
-    }
-    return schedule;
-}
+DCMBQC_RECORD_CODECS(Config, DcMbqcConfig)
+DCMBQC_RECORD_CODECS(LocalSchedule, LocalSchedule)
+DCMBQC_RECORD_CODECS(Schedule, Schedule)
+DCMBQC_RECORD_CODECS(CompileReport, CompileReport)
+DCMBQC_RECORD_CODECS(ExecResult, ExecResult)
+DCMBQC_RECORD_CODECS(NoiseConfig, NoiseConfig)
 
-void
-encodeSchedule(BinaryWriter &writer, const Schedule &schedule)
-{
-    writer.writeI32Vector(schedule.mainStart);
-    writer.writeI32Vector(schedule.syncStart);
-    writer.writeI32(schedule.makespan);
-}
+DCMBQC_ARTIFACT_CODECS(Circuit, Circuit)
+DCMBQC_ARTIFACT_CODECS(Graph, Graph)
+DCMBQC_ARTIFACT_CODECS(Digraph, Digraph)
+DCMBQC_ARTIFACT_CODECS(Pattern, Pattern)
+DCMBQC_ARTIFACT_CODECS(Config, DcMbqcConfig)
+DCMBQC_ARTIFACT_CODECS(LocalSchedule, LocalSchedule)
+DCMBQC_ARTIFACT_CODECS(Schedule, Schedule)
+DCMBQC_ARTIFACT_CODECS(CompileReport, CompileReport)
+DCMBQC_ARTIFACT_CODECS(ExecResult, ExecResult)
+DCMBQC_ARTIFACT_CODECS(NoiseConfig, NoiseConfig)
 
-Schedule
-decodeSchedule(BinaryReader &reader)
-{
-    Schedule schedule;
-    schedule.mainStart = reader.readI32Vector();
-    schedule.syncStart = reader.readI32Vector();
-    schedule.makespan = reader.readI32();
-    return schedule;
-}
-
-// --- CompileReport ---------------------------------------------------------
-
-namespace
-{
-
-void
-encodePortfolioReport(BinaryWriter &writer,
-                      const PortfolioReport &race)
-{
-    writer.writeU32(static_cast<std::uint32_t>(race.requested));
-    writer.writeI32(race.winnerIndex);
-    writer.writeF64(race.raceMillis);
-    writer.writeU32(
-        static_cast<std::uint32_t>(race.cancelledEarly));
-    writer.writeU8(race.validated ? 1 : 0);
-    writer.writeString(race.validationNote);
-    writer.writeU32(
-        static_cast<std::uint32_t>(race.candidates.size()));
-    for (const PortfolioCandidate &entry : race.candidates) {
-        writer.writeString(entry.strategy);
-        writer.writeU64(entry.seed);
-        std::uint8_t flags = 0;
-        if (entry.cacheHit)
-            flags |= 1;
-        if (entry.cancelled)
-            flags |= 2;
-        if (entry.winner)
-            flags |= 4;
-        writer.writeU8(flags);
-        encodeStatus(writer, entry.status);
-        writer.writeF64(entry.logSurvival);
-        writer.writeF64(entry.successProbability);
-        writer.writeI32(entry.makespan);
-        writer.writeI32(entry.connectors);
-        writer.writeF64(entry.wallMillis);
-    }
-}
-
-PortfolioReport
-decodePortfolioReport(BinaryReader &reader)
-{
-    PortfolioReport race;
-    race.requested = static_cast<int>(reader.readU32());
-    race.winnerIndex = reader.readI32();
-    race.raceMillis = reader.readF64();
-    race.cancelledEarly = static_cast<int>(reader.readU32());
-    race.validated = reader.readU8() != 0;
-    race.validationNote = reader.readString();
-    const std::uint32_t candidates = reader.readCount(10);
-    for (std::uint32_t i = 0; i < candidates && reader.ok(); ++i) {
-        PortfolioCandidate entry;
-        entry.strategy = reader.readString();
-        entry.seed = reader.readU64();
-        const std::uint8_t flags = reader.readU8();
-        if ((flags & ~0x7) != 0) {
-            reader.fail("portfolio-candidate flags byte " +
-                        std::to_string(flags) + " is invalid");
-            break;
-        }
-        entry.cacheHit = (flags & 1) != 0;
-        entry.cancelled = (flags & 2) != 0;
-        entry.winner = (flags & 4) != 0;
-        entry.status = decodeStatus(reader);
-        entry.logSurvival = reader.readF64();
-        entry.successProbability = reader.readF64();
-        entry.makespan = reader.readI32();
-        entry.connectors = reader.readI32();
-        entry.wallMillis = reader.readF64();
-        race.candidates.push_back(std::move(entry));
-    }
-    if (reader.ok() &&
-        (race.winnerIndex < -1 ||
-         race.winnerIndex >=
-             static_cast<int>(race.candidates.size())))
-        reader.fail("portfolio winner index " +
-                    std::to_string(race.winnerIndex) +
-                    " outside the candidate table");
-    return race;
-}
-
-} // namespace
-
-void
-encodeCompileReport(BinaryWriter &writer, const CompileReport &report)
-{
-    writer.writeString(report.label);
-    std::uint8_t flags = 0;
-    if (report.distributed)
-        flags |= 1;
-    if (report.baseline)
-        flags |= 2;
-    if (report.cacheHit)
-        flags |= 4;
-    if (report.cacheStats)
-        flags |= 8;
-    if (!report.executions.empty())
-        flags |= 16;
-    if (report.pattern)
-        flags |= 32;
-    if (report.portfolio)
-        flags |= 64;
-    writer.writeU8(flags);
-    if (report.distributed)
-        encodeDcResult(writer, *report.distributed);
-    if (report.baseline)
-        encodeBaselineResult(writer, *report.baseline);
-    writer.writeU32(static_cast<std::uint32_t>(report.stages.size()));
-    for (const StageReport &stage : report.stages) {
-        writer.writeString(stage.pass);
-        writer.writeF64(stage.millis);
-        encodeStatus(writer, stage.status);
-        writer.writeString(stage.note);
-    }
-    writer.writeU32(
-        static_cast<std::uint32_t>(report.warnings.size()));
-    for (const std::string &warning : report.warnings)
-        writer.writeString(warning);
-    writer.writeF64(report.totalMillis);
-    writer.writeU64(report.cacheKey);
-    writer.writeU64(report.cacheVerifier);
-    if (report.cacheStats) {
-        writer.writeU64(report.cacheStats->hits);
-        writer.writeU64(report.cacheStats->misses);
-        writer.writeU64(report.cacheStats->evictions);
-        writer.writeU64(report.cacheStats->diskHits);
-        writer.writeU64(report.cacheStats->diskWrites);
-    }
-    if (!report.executions.empty()) {
-        writer.writeU32(
-            static_cast<std::uint32_t>(report.executions.size()));
-        for (const ExecResult &execution : report.executions)
-            encodeExecResult(writer, execution);
-    }
-    if (report.pattern)
-        encodePattern(writer, *report.pattern);
-    if (report.portfolio)
-        encodePortfolioReport(writer, *report.portfolio);
-}
-
-CompileReport
-decodeCompileReport(BinaryReader &reader)
-{
-    CompileReport report;
-    report.label = reader.readString();
-    const std::uint8_t flags = reader.readU8();
-    // Every legitimately encoded report carries exactly the flags
-    // this version writes, and always one result payload; anything
-    // else is a corrupted or handcrafted artifact. Bit 16
-    // (executions) and bit 32 (retained pattern) are absent from
-    // older artifacts, which keeps them decodable byte for byte —
-    // as is bit 64 (portfolio race table).
-    if ((flags & ~0x7f) != 0 || (flags & 3) == 0) {
-        reader.fail("compile-report flags byte " +
-                    std::to_string(flags) +
-                    " is invalid (no result payload)");
-        return report;
-    }
-    if (flags & 1)
-        report.distributed = decodeDcResult(reader);
-    if (flags & 2)
-        report.baseline = decodeBaselineResult(reader);
-    report.cacheHit = (flags & 4) != 0;
-    const std::uint32_t stages = reader.readCount(1);
-    for (std::uint32_t i = 0; i < stages && reader.ok(); ++i) {
-        StageReport stage;
-        stage.pass = reader.readString();
-        stage.millis = reader.readF64();
-        stage.status = decodeStatus(reader);
-        stage.note = reader.readString();
-        report.stages.push_back(std::move(stage));
-    }
-    const std::uint32_t warnings = reader.readCount(1);
-    for (std::uint32_t i = 0; i < warnings && reader.ok(); ++i)
-        report.warnings.push_back(reader.readString());
-    report.totalMillis = reader.readF64();
-    report.cacheKey = reader.readU64();
-    report.cacheVerifier = reader.readU64();
-    if (flags & 8) {
-        CacheStats stats;
-        stats.hits = reader.readU64();
-        stats.misses = reader.readU64();
-        stats.evictions = reader.readU64();
-        stats.diskHits = reader.readU64();
-        stats.diskWrites = reader.readU64();
-        report.cacheStats = stats;
-    }
-    if (flags & 16) {
-        const std::uint32_t executions = reader.readCount(1);
-        if (executions == 0 && reader.ok())
-            reader.fail("executions flag set on an empty list");
-        for (std::uint32_t i = 0; i < executions && reader.ok(); ++i)
-            report.executions.push_back(decodeExecResult(reader));
-    }
-    if (flags & 32)
-        report.pattern = decodePattern(reader);
-    if (flags & 64)
-        report.portfolio = decodePortfolioReport(reader);
-    return report;
-}
-
-// --- ExecResult ------------------------------------------------------------
-
-namespace
-{
-
-void
-encodeCountMap(BinaryWriter &writer,
-               const std::map<std::string, std::int64_t> &counts)
-{
-    writer.writeU32(static_cast<std::uint32_t>(counts.size()));
-    for (const auto &[key, count] : counts) {
-        writer.writeString(key);
-        writer.writeI64(count);
-    }
-}
-
-std::map<std::string, std::int64_t>
-decodeCountMap(BinaryReader &reader)
-{
-    std::map<std::string, std::int64_t> counts;
-    const std::uint32_t entries = reader.readCount(5);
-    for (std::uint32_t i = 0; i < entries && reader.ok(); ++i) {
-        std::string key = reader.readString();
-        const std::int64_t count = reader.readI64();
-        if (count < 0) {
-            reader.fail("negative outcome count " +
-                        std::to_string(count) + " for '" + key + "'");
-            break;
-        }
-        if (!counts.emplace(std::move(key), count).second) {
-            reader.fail("duplicate outcome key in histogram");
-            break;
-        }
-    }
-    return counts;
-}
-
-void
-encodeProbMap(BinaryWriter &writer,
-              const std::map<std::string, double> &probabilities)
-{
-    writer.writeU32(
-        static_cast<std::uint32_t>(probabilities.size()));
-    for (const auto &[key, probability] : probabilities) {
-        writer.writeString(key);
-        writer.writeF64(probability);
-    }
-}
-
-std::map<std::string, double>
-decodeProbMap(BinaryReader &reader)
-{
-    std::map<std::string, double> probabilities;
-    const std::uint32_t entries = reader.readCount(5);
-    for (std::uint32_t i = 0; i < entries && reader.ok(); ++i) {
-        std::string key = reader.readString();
-        const double probability = reader.readF64();
-        if (!(probability >= 0.0 && probability <= 1.0 + 1e-9)) {
-            reader.fail("probability of '" + key +
-                        "' outside [0, 1]");
-            break;
-        }
-        if (!probabilities.emplace(std::move(key), probability)
-                 .second) {
-            reader.fail("duplicate outcome key in probabilities");
-            break;
-        }
-    }
-    return probabilities;
-}
-
-} // namespace
-
-void
-encodeExecResult(BinaryWriter &writer, const ExecResult &result)
-{
-    writer.writeString(result.backend);
-    writer.writeString(result.label);
-    writer.writeI32(result.shots);
-    writer.writeI32(result.completedShots);
-    writer.writeI32(result.numWires);
-    writer.writeI64(result.seed);
-    writer.writeI32(result.threads);
-    writer.writeF64(result.wallMillis);
-    encodeCountMap(writer, result.counts);
-    encodeProbMap(writer, result.probabilities);
-    writer.writeI32(result.lostShots);
-    writer.writeI64(result.lostPhotons);
-    writer.writeF64(result.analyticSuccessProbability);
-    writer.writeI32(result.maxStorageCycles);
-    writer.writeF64(result.meanStorageCycles);
-    writer.writeU32(static_cast<std::uint32_t>(result.notes.size()));
-    for (const std::string &note : result.notes)
-        writer.writeString(note);
-}
-
-ExecResult
-decodeExecResult(BinaryReader &reader)
-{
-    ExecResult result;
-    result.backend = reader.readString();
-    result.label = reader.readString();
-    result.shots = reader.readI32();
-    result.completedShots = reader.readI32();
-    result.numWires = reader.readI32();
-    result.seed = reader.readI64();
-    result.threads = reader.readI32();
-    result.wallMillis = reader.readF64();
-    result.counts = decodeCountMap(reader);
-    result.probabilities = decodeProbMap(reader);
-    result.lostShots = reader.readI32();
-    result.lostPhotons = reader.readI64();
-    result.analyticSuccessProbability = reader.readF64();
-    result.maxStorageCycles = reader.readI32();
-    result.meanStorageCycles = reader.readF64();
-    const std::uint32_t notes = reader.readCount(4);
-    for (std::uint32_t i = 0; i < notes && reader.ok(); ++i)
-        result.notes.push_back(reader.readString());
-    if (!reader.ok())
-        return result;
-    if (result.shots < 0 || result.completedShots < 0 ||
-        result.completedShots > result.shots) {
-        reader.fail("shot counts inconsistent: " +
-                    std::to_string(result.completedShots) + " of " +
-                    std::to_string(result.shots) + " completed");
-        return result;
-    }
-    std::int64_t counted = 0;
-    for (const auto &[key, count] : result.counts)
-        counted += count;
-    if (counted > result.shots)
-        reader.fail("histogram holds " + std::to_string(counted) +
-                    " outcomes for " + std::to_string(result.shots) +
-                    " shots");
-    return result;
-}
-
-// --- NoiseConfig -----------------------------------------------------------
-
-void
-encodeNoiseConfig(BinaryWriter &writer, const NoiseConfig &config)
-{
-    writer.writeU32(
-        static_cast<std::uint32_t>(config.mechanisms.size()));
-    for (const MechanismSpec &spec : config.mechanisms) {
-        writer.writeString(spec.mechanism);
-        writer.writeU32(static_cast<std::uint32_t>(spec.params.size()));
-        for (const NoiseParam &param : spec.params) {
-            writer.writeString(param.name);
-            writer.writeF64(param.value);
-        }
-    }
-}
-
-NoiseConfig
-decodeNoiseConfig(BinaryReader &reader)
-{
-    NoiseConfig config;
-    const std::uint32_t mechanisms = reader.readCount(8);
-    for (std::uint32_t i = 0; i < mechanisms && reader.ok(); ++i) {
-        MechanismSpec spec;
-        spec.mechanism = reader.readString();
-        if (reader.ok() && !isKnownNoiseMechanism(spec.mechanism)) {
-            reader.fail("unknown noise mechanism '" + spec.mechanism +
-                        "' in noise-config artifact");
-            break;
-        }
-        const std::uint32_t params = reader.readCount(12);
-        for (std::uint32_t j = 0; j < params && reader.ok(); ++j) {
-            NoiseParam param;
-            param.name = reader.readString();
-            param.value = reader.readF64();
-            spec.params.push_back(std::move(param));
-        }
-        config.mechanisms.push_back(std::move(spec));
-    }
-    return config;
-}
-
-// --- Artifact wrappers -----------------------------------------------------
-
-std::vector<std::uint8_t>
-encodeCircuitArtifact(const Circuit &circuit)
-{
-    return sealPayload(ArtifactKind::Circuit, [&](BinaryWriter &w) {
-        encodeCircuit(w, circuit);
-    });
-}
-
-Expected<Circuit>
-decodeCircuitArtifact(const std::vector<std::uint8_t> &bytes)
-{
-    return decodeArtifactAs<Circuit>(ArtifactKind::Circuit, bytes,
-                                     decodeCircuit);
-}
-
-std::vector<std::uint8_t>
-encodeGraphArtifact(const Graph &graph)
-{
-    return sealPayload(ArtifactKind::Graph, [&](BinaryWriter &w) {
-        encodeGraph(w, graph);
-    });
-}
-
-Expected<Graph>
-decodeGraphArtifact(const std::vector<std::uint8_t> &bytes)
-{
-    return decodeArtifactAs<Graph>(ArtifactKind::Graph, bytes,
-                                   decodeGraph);
-}
-
-std::vector<std::uint8_t>
-encodeDigraphArtifact(const Digraph &digraph)
-{
-    return sealPayload(ArtifactKind::Digraph, [&](BinaryWriter &w) {
-        encodeDigraph(w, digraph);
-    });
-}
-
-Expected<Digraph>
-decodeDigraphArtifact(const std::vector<std::uint8_t> &bytes)
-{
-    return decodeArtifactAs<Digraph>(ArtifactKind::Digraph, bytes,
-                                     decodeDigraph);
-}
-
-std::vector<std::uint8_t>
-encodePatternArtifact(const Pattern &pattern)
-{
-    return sealPayload(ArtifactKind::Pattern, [&](BinaryWriter &w) {
-        encodePattern(w, pattern);
-    });
-}
-
-Expected<Pattern>
-decodePatternArtifact(const std::vector<std::uint8_t> &bytes)
-{
-    return decodeArtifactAs<Pattern>(ArtifactKind::Pattern, bytes,
-                                     decodePattern);
-}
-
-std::vector<std::uint8_t>
-encodeConfigArtifact(const DcMbqcConfig &config)
-{
-    return sealPayload(ArtifactKind::Config, [&](BinaryWriter &w) {
-        encodeConfig(w, config);
-    });
-}
-
-Expected<DcMbqcConfig>
-decodeConfigArtifact(const std::vector<std::uint8_t> &bytes)
-{
-    return decodeArtifactAs<DcMbqcConfig>(ArtifactKind::Config, bytes,
-                                          decodeConfig);
-}
-
-std::vector<std::uint8_t>
-encodeLocalScheduleArtifact(const LocalSchedule &schedule)
-{
-    return sealPayload(ArtifactKind::LocalSchedule,
-                       [&](BinaryWriter &w) {
-                           encodeLocalSchedule(w, schedule);
-                       });
-}
-
-Expected<LocalSchedule>
-decodeLocalScheduleArtifact(const std::vector<std::uint8_t> &bytes)
-{
-    return decodeArtifactAs<LocalSchedule>(ArtifactKind::LocalSchedule,
-                                           bytes, decodeLocalSchedule);
-}
-
-std::vector<std::uint8_t>
-encodeScheduleArtifact(const Schedule &schedule)
-{
-    return sealPayload(ArtifactKind::Schedule, [&](BinaryWriter &w) {
-        encodeSchedule(w, schedule);
-    });
-}
-
-Expected<Schedule>
-decodeScheduleArtifact(const std::vector<std::uint8_t> &bytes)
-{
-    return decodeArtifactAs<Schedule>(ArtifactKind::Schedule, bytes,
-                                      decodeSchedule);
-}
-
-std::vector<std::uint8_t>
-encodeCompileReportArtifact(const CompileReport &report)
-{
-    return sealPayload(ArtifactKind::CompileReport,
-                       [&](BinaryWriter &w) {
-                           encodeCompileReport(w, report);
-                       });
-}
-
-Expected<CompileReport>
-decodeCompileReportArtifact(const std::vector<std::uint8_t> &bytes)
-{
-    return decodeArtifactAs<CompileReport>(ArtifactKind::CompileReport,
-                                           bytes, decodeCompileReport);
-}
-
-std::vector<std::uint8_t>
-encodeExecResultArtifact(const ExecResult &result)
-{
-    return sealPayload(ArtifactKind::ExecResult, [&](BinaryWriter &w) {
-        encodeExecResult(w, result);
-    });
-}
-
-Expected<ExecResult>
-decodeExecResultArtifact(const std::vector<std::uint8_t> &bytes)
-{
-    return decodeArtifactAs<ExecResult>(ArtifactKind::ExecResult,
-                                        bytes, decodeExecResult);
-}
-
-std::vector<std::uint8_t>
-encodeNoiseConfigArtifact(const NoiseConfig &config)
-{
-    return sealPayload(ArtifactKind::NoiseConfig,
-                       [&](BinaryWriter &w) {
-                           encodeNoiseConfig(w, config);
-                       });
-}
-
-Expected<NoiseConfig>
-decodeNoiseConfigArtifact(const std::vector<std::uint8_t> &bytes)
-{
-    return decodeArtifactAs<NoiseConfig>(ArtifactKind::NoiseConfig,
-                                         bytes, decodeNoiseConfig);
-}
+#undef DCMBQC_RECORD_CODECS
+#undef DCMBQC_ARTIFACT_CODECS
 
 } // namespace dcmbqc

@@ -12,12 +12,20 @@
  *   encodeXArtifact(const X &) -> bytes
  *   decodeXArtifact(bytes) -> Expected<X>
  *
+ * Each record's layout is written once, as a `transfer` field list
+ * (serialize/wire.hh) that both pairs run: the encoder walks it with
+ * a WireWriter, the decoder with a WireReader, and the decoder's
+ * checks (enum tags, flag bytes, element counts, index ranges, shot
+ * consistency, noise-mechanism names) are reader-side steps of the
+ * same list. Only Circuit, Graph, Digraph and Pattern keep a hand-
+ * written pair, because they rebuild their values through class
+ * APIs that guard invariants.
+ *
  * Decoders never assert on malformed input: structural violations
  * (out-of-range node ids, inconsistent vector sizes, invalid enum
  * tags, embedded X/Z dependency sets that disagree with the decoded
  * flow) latch an InvalidArgument on the reader, and the artifact
- * wrapper returns it through Expected, matching the PR-1 error
- * channel.
+ * wrapper returns it through Expected.
  */
 
 #ifndef DCMBQC_SERIALIZE_CODECS_HH
@@ -35,6 +43,7 @@
 #include "noise/config.hh"
 #include "serialize/artifact.hh"
 #include "serialize/binary.hh"
+#include "serialize/wire.hh"
 
 namespace dcmbqc
 {
@@ -43,6 +52,15 @@ namespace dcmbqc
 
 void encodeCircuit(BinaryWriter &writer, const Circuit &circuit);
 Circuit decodeCircuit(BinaryReader &reader);
+
+/**
+ * The circuit payload in pieces, for callers that stream gates (the
+ * cache key of a CircuitStream): encodeCircuit writes exactly the
+ * header, then encodeGate for every gate.
+ */
+void encodeCircuitHeader(BinaryWriter &writer, int qubits,
+                         const std::string &name, std::size_t gates);
+void encodeGate(BinaryWriter &writer, const Gate &gate);
 
 void encodeGraph(BinaryWriter &writer, const Graph &graph);
 Graph decodeGraph(BinaryReader &reader);
@@ -83,6 +101,15 @@ ExecResult decodeExecResult(BinaryReader &reader);
  */
 void encodeNoiseConfig(BinaryWriter &writer, const NoiseConfig &config);
 NoiseConfig decodeNoiseConfig(BinaryReader &reader);
+
+// --- Field lists other wire records embed (service/protocol.cc) ----------
+
+template <class Io>
+void transfer(Io &io, WireRecord<Io, DcMbqcConfig> &config);
+template <class Io>
+void transfer(Io &io, WireRecord<Io, NoiseConfig> &config);
+template <class Io>
+void transfer(Io &io, WireRecord<Io, CacheStats> &stats);
 
 // --- Artifact wrappers -----------------------------------------------------
 

@@ -19,110 +19,51 @@ constexpr std::size_t frameHeaderSize = 16;
 constexpr std::size_t frameTrailerSize = 8;
 constexpr std::uint8_t frameMagic[4] = {'D', 'S', 'V', 'C'};
 
-bool
-validFrameType(std::uint16_t tag)
+struct FrameHeader
 {
-    return tag >= static_cast<std::uint16_t>(FrameType::CompileRequest) &&
-        tag <= static_cast<std::uint16_t>(FrameType::CacheProbeMiss);
+    FrameType type;
+    std::uint64_t payloadSize;
+};
+
+/** Validate a frame header: magic, version, type tag, payload limit. */
+Expected<FrameHeader>
+parseFrameHeader(const std::uint8_t *header, std::size_t max_payload)
+{
+    if (std::memcmp(header, frameMagic, sizeof(frameMagic)) != 0)
+        return Status::invalidArgument(
+            "bad service frame magic (not a dcmbqcd stream?)");
+    BinaryReader fields(header + 4, frameHeaderSize - 4);
+    const std::uint16_t version = fields.readU16();
+    const std::uint16_t tag = fields.readU16();
+    const std::uint64_t payload_size = fields.readU64();
+    if (version != serviceProtocolVersion)
+        return Status::invalidArgument(
+            "unsupported service protocol version " +
+            std::to_string(version) + " (this build speaks " +
+            std::to_string(serviceProtocolVersion) + ")");
+    if (tag < static_cast<std::uint16_t>(FrameType::CompileRequest) ||
+        tag > static_cast<std::uint16_t>(FrameType::CacheProbeMiss))
+        return Status::invalidArgument(
+            "unknown service frame type tag " + std::to_string(tag));
+    if (payload_size > max_payload)
+        return Status::invalidArgument(
+            "service frame payload of " +
+            std::to_string(payload_size) +
+            " bytes exceeds the limit of " +
+            std::to_string(max_payload));
+    return FrameHeader{static_cast<FrameType>(tag), payload_size};
 }
 
-/** Wire twin of the Status codec in serialize/codecs.cc. */
-void
-writeStatus(BinaryWriter &writer, const Status &status)
+/** Check a frame's payload against the FNV-1a checksum trailer. */
+Expected<Frame>
+checkFrameTrailer(Frame frame, const std::uint8_t *trailer)
 {
-    writer.writeU8(static_cast<std::uint8_t>(status.code()));
-    writer.writeString(status.message());
-}
-
-Status
-readStatus(BinaryReader &reader)
-{
-    const std::uint8_t code = reader.readU8();
-    std::string message = reader.readString();
-    if (code > static_cast<std::uint8_t>(StatusCode::Unavailable)) {
-        reader.fail("invalid status code tag " +
-                    std::to_string(code));
-        return Status::okStatus();
-    }
-    switch (static_cast<StatusCode>(code)) {
-      case StatusCode::Ok:
-        return Status::okStatus();
-      case StatusCode::InvalidArgument:
-        return Status::invalidArgument(std::move(message));
-      case StatusCode::InvalidConfig:
-        return Status::invalidConfig(std::move(message));
-      case StatusCode::FailedPrecondition:
-        return Status::failedPrecondition(std::move(message));
-      case StatusCode::Internal:
-        return Status::internal(std::move(message));
-      case StatusCode::Cancelled:
-        return Status::cancelled(std::move(message));
-      case StatusCode::DeadlineExceeded:
-        return Status::deadlineExceeded(std::move(message));
-      case StatusCode::ResourceExhausted:
-        return Status::resourceExhausted(std::move(message));
-      case StatusCode::Unavailable:
-        return Status::unavailable(std::move(message));
-    }
-    return Status::internal(std::move(message));
-}
-
-/** Presence-flagged optional NoiseConfig (shared by job + options). */
-void
-writeOptionalNoise(BinaryWriter &writer,
-                   const std::optional<NoiseConfig> &noise)
-{
-    writer.writeU8(noise ? 1 : 0);
-    if (noise)
-        encodeNoiseConfig(writer, *noise);
-}
-
-std::optional<NoiseConfig>
-readOptionalNoise(BinaryReader &reader)
-{
-    const std::uint8_t present = reader.readU8();
-    if (present > 1) {
-        reader.fail("invalid noise presence flag " +
-                    std::to_string(present));
-        return std::nullopt;
-    }
-    if (present == 0)
-        return std::nullopt;
-    return decodeNoiseConfig(reader);
-}
-
-void
-writeExecOptions(BinaryWriter &writer, const ExecOptions &options)
-{
-    writer.writeString(options.backend);
-    writer.writeI32(options.shots);
-    writer.writeI64(options.seed);
-    writer.writeI32(options.numThreads);
-    writer.writeU8(options.applyByproducts ? 1 : 0);
-    writer.writeF64(options.lossModel.attenuationDbPerKm);
-    writer.writeF64(options.lossModel.cyclePeriodNs);
-    writer.writeF64(options.lossModel.speedFraction);
-    writeOptionalNoise(writer, options.noise);
-}
-
-ExecOptions
-readExecOptions(BinaryReader &reader)
-{
-    ExecOptions options;
-    options.backend = reader.readString();
-    options.shots = reader.readI32();
-    options.seed = reader.readI64();
-    options.numThreads = reader.readI32();
-    const std::uint8_t byproducts = reader.readU8();
-    if (byproducts > 1)
-        reader.fail("invalid applyByproducts flag " +
-                    std::to_string(byproducts));
-    options.applyByproducts = byproducts == 1;
-    options.lossModel.attenuationDbPerKm = reader.readF64();
-    options.lossModel.cyclePeriodNs = reader.readF64();
-    options.lossModel.speedFraction = reader.readF64();
-    options.noise = readOptionalNoise(reader);
-    return options;
+    BinaryReader checksum(trailer, frameTrailerSize);
+    if (checksum.readU64() !=
+        fnv1a64(frame.payload.data(), frame.payload.size()))
+        return Status::invalidArgument(
+            "service frame checksum mismatch (corrupted in flight)");
+    return frame;
 }
 
 /** Read exactly `size` bytes; false on EOF/error. */
@@ -188,46 +129,20 @@ decodeFrame(const std::uint8_t *data, std::size_t size,
         return Status::invalidArgument(
             "service frame truncated: " + std::to_string(size) +
             " bytes is smaller than header + checksum");
-    if (std::memcmp(data, frameMagic, sizeof(frameMagic)) != 0)
-        return Status::invalidArgument(
-            "bad service frame magic (not a dcmbqcd stream?)");
-
-    BinaryReader header(data + 4, frameHeaderSize - 4);
-    const std::uint16_t version = header.readU16();
-    const std::uint16_t tag = header.readU16();
-    const std::uint64_t payload_size = header.readU64();
-    if (version != serviceProtocolVersion)
-        return Status::invalidArgument(
-            "unsupported service protocol version " +
-            std::to_string(version) + " (this build speaks " +
-            std::to_string(serviceProtocolVersion) + ")");
-    if (!validFrameType(tag))
-        return Status::invalidArgument(
-            "unknown service frame type tag " + std::to_string(tag));
-    if (payload_size > max_payload)
-        return Status::invalidArgument(
-            "service frame payload of " +
-            std::to_string(payload_size) +
-            " bytes exceeds the limit of " +
-            std::to_string(max_payload));
+    auto header = parseFrameHeader(data, max_payload);
+    if (!header.ok())
+        return header.status();
+    const std::uint64_t payload_size = header->payloadSize;
     if (size != frameHeaderSize + payload_size + frameTrailerSize)
         return Status::invalidArgument(
             "service frame size mismatch: header promises " +
             std::to_string(payload_size) + " payload bytes, buffer "
             "holds " + std::to_string(size));
-
     const std::uint8_t *payload = data + frameHeaderSize;
-    BinaryReader trailer(payload + payload_size, frameTrailerSize);
-    const std::uint64_t stored = trailer.readU64();
-    const std::uint64_t computed = fnv1a64(payload, payload_size);
-    if (stored != computed)
-        return Status::invalidArgument(
-            "service frame checksum mismatch (corrupted in flight)");
-
     Frame frame;
-    frame.type = static_cast<FrameType>(tag);
+    frame.type = header->type;
     frame.payload.assign(payload, payload + payload_size);
-    return frame;
+    return checkFrameTrailer(std::move(frame), payload + payload_size);
 }
 
 Expected<Frame>
@@ -271,407 +186,240 @@ readFrame(int fd, std::size_t max_payload)
             "service frame header truncated at " +
             std::to_string(got) + " bytes");
     }
-    if (std::memcmp(header, frameMagic, sizeof(frameMagic)) != 0)
-        return Status::invalidArgument(
-            "bad service frame magic (not a dcmbqcd stream?)");
-
-    BinaryReader fields(header + 4, sizeof(header) - 4);
-    const std::uint16_t version = fields.readU16();
-    const std::uint16_t tag = fields.readU16();
-    const std::uint64_t payload_size = fields.readU64();
-    if (version != serviceProtocolVersion)
-        return Status::invalidArgument(
-            "unsupported service protocol version " +
-            std::to_string(version) + " (this build speaks " +
-            std::to_string(serviceProtocolVersion) + ")");
-    if (!validFrameType(tag))
-        return Status::invalidArgument(
-            "unknown service frame type tag " + std::to_string(tag));
-    // Size is validated before a single payload byte is allocated.
-    if (payload_size > max_payload)
-        return Status::invalidArgument(
-            "service frame payload of " +
-            std::to_string(payload_size) +
-            " bytes exceeds the limit of " +
-            std::to_string(max_payload));
-
+    // The size is validated before a payload byte is allocated.
+    auto parsed = parseFrameHeader(header, max_payload);
+    if (!parsed.ok())
+        return parsed.status();
     Frame frame;
-    frame.type = static_cast<FrameType>(tag);
-    frame.payload.resize(payload_size);
-    if (payload_size > 0 &&
-        !recvAll(fd, frame.payload.data(), payload_size, nullptr))
+    frame.type = parsed->type;
+    frame.payload.resize(parsed->payloadSize);
+    if (!frame.payload.empty() &&
+        !recvAll(fd, frame.payload.data(), frame.payload.size(), nullptr))
         return Status::invalidArgument(
             "service frame payload truncated (peer hung up "
             "mid-frame)");
-
     std::uint8_t trailer[frameTrailerSize];
     if (!recvAll(fd, trailer, sizeof(trailer), nullptr))
         return Status::invalidArgument(
             "service frame checksum truncated");
-    BinaryReader checksum(trailer, sizeof(trailer));
-    if (checksum.readU64() !=
-        fnv1a64(frame.payload.data(), frame.payload.size()))
-        return Status::invalidArgument(
-            "service frame checksum mismatch (corrupted in flight)");
-    return frame;
+    return checkFrameTrailer(std::move(frame), trailer);
 }
 
-// --- ServiceJob ------------------------------------------------------------
+// --- Message field lists ---------------------------------------------------
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, ExecOptions> &options)
+{
+    io(options.backend, options.shots, options.seed, options.numThreads,
+       options.applyByproducts, options.lossModel.attenuationDbPerKm,
+       options.lossModel.cyclePeriodNs, options.lossModel.speedFraction);
+    io.optional(options.noise);
+}
+
+/**
+ * A job's request: an entry-point tag (1 circuit, 2 pattern, 3 graph
+ * + deps), its IR payload through the hand-written codecs, then the
+ * label. The reader rebuilds the request through CompileRequest's
+ * factories, which is why this entry is not a plain field list.
+ */
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, std::optional<CompileRequest>> &request)
+{
+    using Entry = CompileRequest::EntryPoint;
+    if constexpr (Io::reading) {
+        std::uint8_t entry = 0;
+        io(entry);
+        BinaryReader &reader = io.stream();
+        if (entry == 1) {
+            Circuit circuit = decodeCircuit(reader);
+            if (io.ok())
+                request = CompileRequest::fromCircuit(std::move(circuit));
+        } else if (entry == 2) {
+            Pattern pattern = decodePattern(reader);
+            if (io.ok())
+                request = CompileRequest::fromPattern(std::move(pattern));
+        } else if (entry == 3) {
+            Graph graph = decodeGraph(reader);
+            Digraph deps = decodeDigraph(reader);
+            if (io.ok())
+                request = CompileRequest::fromGraph(std::move(graph),
+                                                    std::move(deps));
+        } else {
+            io.fail("invalid job entry-point tag " +
+                    std::to_string(entry));
+        }
+        std::string label;
+        io(label);
+        if (request)
+            request->withLabel(std::move(label));
+    } else {
+        BinaryWriter &writer = io.stream();
+        switch (request->entryPoint()) {
+          case Entry::Circuit:
+            io(std::uint8_t{1});
+            encodeCircuit(writer, request->circuit());
+            break;
+          case Entry::CircuitStream:
+            // Streams cross the wire materialized under the Circuit
+            // tag: the compiled artifact is byte-identical either
+            // way, and the daemon's windowed ingest is governed by
+            // `job.window`, not by the entry representation.
+            io(std::uint8_t{1});
+            encodeCircuit(writer, request->stream().materialize());
+            break;
+          case Entry::Pattern:
+            io(std::uint8_t{2});
+            encodePattern(writer, request->pattern());
+            break;
+          case Entry::Graph:
+            io(std::uint8_t{3});
+            encodeGraph(writer, request->graph());
+            encodeDigraph(writer, request->deps());
+            break;
+        }
+        io(request->label());
+    }
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, ServiceJob> &job)
+{
+    io(job.request, job.config, job.baseline, job.deadlineMillis,
+       job.streamProgress);
+    io.list(job.backends, 1);
+    io.optional(job.noise);
+    io(job.portfolio);
+    io.check([&]() -> std::string {
+        if (job.portfolio > 64)
+            return "portfolio candidate count " +
+                std::to_string(job.portfolio) +
+                " exceeds the limit of 64";
+        return {};
+    });
+    io(job.window);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, CacheProbe> &probe)
+{
+    io(probe.key, probe.verifier);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, CompileReply> &reply)
+{
+    io(reply.status);
+    io.bits("compile-reply", reply.cacheHit, reply.hotServed);
+    io(reply.cacheKey);
+    io.blob(reply.reportArtifact);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, ProgressEvent> &event)
+{
+    io(event.label, event.pass, event.finished, event.millis, event.note,
+       event.window, event.windowIndex, event.windowSettled,
+       event.windowTotal, event.frontierLive);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, ServiceStats::StageAggregate> &stage)
+{
+    io(stage.pass, stage.count, stage.totalMillis, stage.maxMillis);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, ServiceStats::WinnerCount> &winner)
+{
+    io(winner.strategy, winner.wins);
+}
+
+template <class Io>
+void
+transfer(Io &io, WireRecord<Io, ServiceStats> &stats)
+{
+    io(stats.requestsTotal, stats.compileRequests, stats.executeRequests,
+       stats.statsRequests, stats.pings, stats.succeeded, stats.failed,
+       stats.rejectedQueueFull, stats.deadlineExceeded, stats.cancelled,
+       stats.hotReplies, stats.cacheHitReplies, stats.inFlight,
+       stats.queueLimit, stats.workers, stats.draining,
+       stats.uptimeMillis, stats.latencySamples, stats.p50Millis,
+       stats.p99Millis, stats.maxMillis, stats.meanMillis, stats.cache,
+       stats.cacheEntries);
+    io.list(stats.stages, 1);
+    io(stats.portfolioRaces, stats.portfolioCandidates,
+       stats.portfolioCancelledEarly);
+    io.list(stats.portfolioWinners, 1);
+}
+
+// --- Message codecs --------------------------------------------------------
 
 std::vector<std::uint8_t>
 encodeServiceJob(const ServiceJob &job)
 {
-    BinaryWriter writer;
-    const CompileRequest &request = *job.request;
-    switch (request.entryPoint()) {
-      case CompileRequest::EntryPoint::Circuit:
-        writer.writeU8(1);
-        encodeCircuit(writer, request.circuit());
-        break;
-      case CompileRequest::EntryPoint::CircuitStream:
-        // Streams cross the wire materialized under the Circuit tag:
-        // the compiled artifact is byte-identical either way, and the
-        // daemon's windowed ingest is governed by `job.window`, not
-        // by the entry representation.
-        writer.writeU8(1);
-        encodeCircuit(writer, request.stream().materialize());
-        break;
-      case CompileRequest::EntryPoint::Pattern:
-        writer.writeU8(2);
-        encodePattern(writer, request.pattern());
-        break;
-      case CompileRequest::EntryPoint::Graph:
-        writer.writeU8(3);
-        encodeGraph(writer, request.graph());
-        encodeDigraph(writer, request.deps());
-        break;
-    }
-    writer.writeString(request.label());
-    encodeConfig(writer, job.config);
-    writer.writeU8(job.baseline ? 1 : 0);
-    writer.writeU32(job.deadlineMillis);
-    writer.writeU8(job.streamProgress ? 1 : 0);
-    writer.writeU32(static_cast<std::uint32_t>(job.backends.size()));
-    for (const ExecOptions &backend : job.backends)
-        writeExecOptions(writer, backend);
-    writeOptionalNoise(writer, job.noise);
-    writer.writeU32(job.portfolio);
-    writer.writeU32(job.window);
-    return writer.take();
+    return encodeRecord(job);
 }
 
 Expected<ServiceJob>
 decodeServiceJob(const std::vector<std::uint8_t> &bytes)
 {
-    BinaryReader reader(bytes);
-    ServiceJob job;
-
-    const std::uint8_t entry = reader.readU8();
-    switch (entry) {
-      case 1: {
-        Circuit circuit = decodeCircuit(reader);
-        if (reader.ok())
-            job.request =
-                CompileRequest::fromCircuit(std::move(circuit));
-        break;
-      }
-      case 2: {
-        Pattern pattern = decodePattern(reader);
-        if (reader.ok())
-            job.request =
-                CompileRequest::fromPattern(std::move(pattern));
-        break;
-      }
-      case 3: {
-        Graph graph = decodeGraph(reader);
-        Digraph deps = decodeDigraph(reader);
-        if (reader.ok())
-            job.request = CompileRequest::fromGraph(std::move(graph),
-                                                    std::move(deps));
-        break;
-      }
-      default:
-        reader.fail("invalid job entry-point tag " +
-                    std::to_string(entry));
-    }
-
-    std::string label = reader.readString();
-    if (job.request)
-        job.request->withLabel(std::move(label));
-    job.config = decodeConfig(reader);
-    const std::uint8_t baseline = reader.readU8();
-    if (baseline > 1)
-        reader.fail("invalid baseline flag " +
-                    std::to_string(baseline));
-    job.baseline = baseline == 1;
-    job.deadlineMillis = reader.readU32();
-    const std::uint8_t stream = reader.readU8();
-    if (stream > 1)
-        reader.fail("invalid streamProgress flag " +
-                    std::to_string(stream));
-    job.streamProgress = stream == 1;
-    const std::uint32_t backends = reader.readCount(1);
-    for (std::uint32_t i = 0; i < backends && reader.ok(); ++i)
-        job.backends.push_back(readExecOptions(reader));
-    job.noise = readOptionalNoise(reader);
-    job.portfolio = reader.readU32();
-    if (reader.ok() && job.portfolio > 64)
-        reader.fail("portfolio candidate count " +
-                    std::to_string(job.portfolio) +
-                    " exceeds the limit of 64");
-    job.window = reader.readU32();
-
-    if (!reader.ok())
-        return reader.status();
-    if (!reader.atEnd())
-        return Status::invalidArgument(
-            "service job payload has " +
-            std::to_string(reader.remaining()) +
-            " trailing bytes");
-    return job;
+    return decodeRecord<ServiceJob>(bytes, "service job");
 }
-
-// --- CacheProbe ------------------------------------------------------------
 
 std::vector<std::uint8_t>
 encodeCacheProbe(const CacheProbe &probe)
 {
-    BinaryWriter writer;
-    writer.writeU64(probe.key);
-    writer.writeU64(probe.verifier);
-    return writer.take();
+    return encodeRecord(probe);
 }
 
 Expected<CacheProbe>
 decodeCacheProbe(const std::vector<std::uint8_t> &bytes)
 {
-    BinaryReader reader(bytes);
-    CacheProbe probe;
-    probe.key = reader.readU64();
-    probe.verifier = reader.readU64();
-    if (!reader.ok())
-        return reader.status();
-    if (!reader.atEnd())
-        return Status::invalidArgument(
-            "cache-probe payload has trailing bytes");
-    return probe;
+    return decodeRecord<CacheProbe>(bytes, "cache-probe");
 }
-
-// --- CompileReply ----------------------------------------------------------
 
 std::vector<std::uint8_t>
 encodeCompileReply(const CompileReply &reply)
 {
-    BinaryWriter writer;
-    writeStatus(writer, reply.status);
-    std::uint8_t flags = 0;
-    if (reply.cacheHit)
-        flags |= 1;
-    if (reply.hotServed)
-        flags |= 2;
-    writer.writeU8(flags);
-    writer.writeU64(reply.cacheKey);
-    writer.writeU64(reply.reportArtifact.size());
-    writer.writeBytes(reply.reportArtifact.data(),
-                      reply.reportArtifact.size());
-    return writer.take();
+    return encodeRecord(reply);
 }
 
 Expected<CompileReply>
 decodeCompileReply(const std::vector<std::uint8_t> &bytes)
 {
-    BinaryReader reader(bytes);
-    CompileReply reply;
-    reply.status = readStatus(reader);
-    const std::uint8_t flags = reader.readU8();
-    if ((flags & ~0x03) != 0)
-        reader.fail("invalid compile-reply flags byte " +
-                    std::to_string(flags));
-    reply.cacheHit = (flags & 1) != 0;
-    reply.hotServed = (flags & 2) != 0;
-    reply.cacheKey = reader.readU64();
-    const std::uint64_t artifact_size = reader.readU64();
-    if (reader.ok() && artifact_size > reader.remaining())
-        reader.fail("compile-reply artifact of " +
-                    std::to_string(artifact_size) +
-                    " bytes exceeds the remaining payload");
-    else if (reader.ok())
-        reply.reportArtifact = reader.readBytes(
-            static_cast<std::size_t>(artifact_size));
-    if (!reader.ok())
-        return reader.status();
-    if (!reader.atEnd())
-        return Status::invalidArgument(
-            "compile-reply payload has trailing bytes");
-    return reply;
+    return decodeRecord<CompileReply>(bytes, "compile-reply");
 }
-
-// --- ProgressEvent ---------------------------------------------------------
 
 std::vector<std::uint8_t>
 encodeProgressEvent(const ProgressEvent &event)
 {
-    BinaryWriter writer;
-    writer.writeString(event.label);
-    writer.writeString(event.pass);
-    writer.writeU8(event.finished ? 1 : 0);
-    writer.writeF64(event.millis);
-    writer.writeString(event.note);
-    writer.writeU8(event.window ? 1 : 0);
-    writer.writeU32(event.windowIndex);
-    writer.writeU64(event.windowSettled);
-    writer.writeU64(event.windowTotal);
-    writer.writeU64(event.frontierLive);
-    return writer.take();
+    return encodeRecord(event);
 }
 
 Expected<ProgressEvent>
 decodeProgressEvent(const std::vector<std::uint8_t> &bytes)
 {
-    BinaryReader reader(bytes);
-    ProgressEvent event;
-    event.label = reader.readString();
-    event.pass = reader.readString();
-    const std::uint8_t finished = reader.readU8();
-    if (finished > 1)
-        reader.fail("invalid progress finished flag " +
-                    std::to_string(finished));
-    event.finished = finished == 1;
-    event.millis = reader.readF64();
-    event.note = reader.readString();
-    const std::uint8_t window = reader.readU8();
-    if (window > 1)
-        reader.fail("invalid progress window flag " +
-                    std::to_string(window));
-    event.window = window == 1;
-    event.windowIndex = reader.readU32();
-    event.windowSettled = reader.readU64();
-    event.windowTotal = reader.readU64();
-    event.frontierLive = reader.readU64();
-    if (!reader.ok())
-        return reader.status();
-    if (!reader.atEnd())
-        return Status::invalidArgument(
-            "progress payload has trailing bytes");
-    return event;
+    return decodeRecord<ProgressEvent>(bytes, "progress");
 }
-
-// --- ServiceStats ----------------------------------------------------------
 
 std::vector<std::uint8_t>
 encodeServiceStats(const ServiceStats &stats)
 {
-    BinaryWriter writer;
-    writer.writeU64(stats.requestsTotal);
-    writer.writeU64(stats.compileRequests);
-    writer.writeU64(stats.executeRequests);
-    writer.writeU64(stats.statsRequests);
-    writer.writeU64(stats.pings);
-    writer.writeU64(stats.succeeded);
-    writer.writeU64(stats.failed);
-    writer.writeU64(stats.rejectedQueueFull);
-    writer.writeU64(stats.deadlineExceeded);
-    writer.writeU64(stats.cancelled);
-    writer.writeU64(stats.hotReplies);
-    writer.writeU64(stats.cacheHitReplies);
-    writer.writeI32(stats.inFlight);
-    writer.writeI32(stats.queueLimit);
-    writer.writeI32(stats.workers);
-    writer.writeU8(stats.draining ? 1 : 0);
-    writer.writeU64(stats.uptimeMillis);
-    writer.writeU64(stats.latencySamples);
-    writer.writeF64(stats.p50Millis);
-    writer.writeF64(stats.p99Millis);
-    writer.writeF64(stats.maxMillis);
-    writer.writeF64(stats.meanMillis);
-    writer.writeU64(stats.cache.hits);
-    writer.writeU64(stats.cache.misses);
-    writer.writeU64(stats.cache.evictions);
-    writer.writeU64(stats.cache.diskHits);
-    writer.writeU64(stats.cache.diskWrites);
-    writer.writeU64(stats.cacheEntries);
-    writer.writeU32(static_cast<std::uint32_t>(stats.stages.size()));
-    for (const ServiceStats::StageAggregate &stage : stats.stages) {
-        writer.writeString(stage.pass);
-        writer.writeU64(stage.count);
-        writer.writeF64(stage.totalMillis);
-        writer.writeF64(stage.maxMillis);
-    }
-    writer.writeU64(stats.portfolioRaces);
-    writer.writeU64(stats.portfolioCandidates);
-    writer.writeU64(stats.portfolioCancelledEarly);
-    writer.writeU32(
-        static_cast<std::uint32_t>(stats.portfolioWinners.size()));
-    for (const ServiceStats::WinnerCount &winner :
-         stats.portfolioWinners) {
-        writer.writeString(winner.strategy);
-        writer.writeU64(winner.wins);
-    }
-    return writer.take();
+    return encodeRecord(stats);
 }
 
 Expected<ServiceStats>
 decodeServiceStats(const std::vector<std::uint8_t> &bytes)
 {
-    BinaryReader reader(bytes);
-    ServiceStats stats;
-    stats.requestsTotal = reader.readU64();
-    stats.compileRequests = reader.readU64();
-    stats.executeRequests = reader.readU64();
-    stats.statsRequests = reader.readU64();
-    stats.pings = reader.readU64();
-    stats.succeeded = reader.readU64();
-    stats.failed = reader.readU64();
-    stats.rejectedQueueFull = reader.readU64();
-    stats.deadlineExceeded = reader.readU64();
-    stats.cancelled = reader.readU64();
-    stats.hotReplies = reader.readU64();
-    stats.cacheHitReplies = reader.readU64();
-    stats.inFlight = reader.readI32();
-    stats.queueLimit = reader.readI32();
-    stats.workers = reader.readI32();
-    const std::uint8_t draining = reader.readU8();
-    if (draining > 1)
-        reader.fail("invalid draining flag " +
-                    std::to_string(draining));
-    stats.draining = draining == 1;
-    stats.uptimeMillis = reader.readU64();
-    stats.latencySamples = reader.readU64();
-    stats.p50Millis = reader.readF64();
-    stats.p99Millis = reader.readF64();
-    stats.maxMillis = reader.readF64();
-    stats.meanMillis = reader.readF64();
-    stats.cache.hits = reader.readU64();
-    stats.cache.misses = reader.readU64();
-    stats.cache.evictions = reader.readU64();
-    stats.cache.diskHits = reader.readU64();
-    stats.cache.diskWrites = reader.readU64();
-    stats.cacheEntries = reader.readU64();
-    const std::uint32_t stages = reader.readCount(1);
-    for (std::uint32_t i = 0; i < stages && reader.ok(); ++i) {
-        ServiceStats::StageAggregate stage;
-        stage.pass = reader.readString();
-        stage.count = reader.readU64();
-        stage.totalMillis = reader.readF64();
-        stage.maxMillis = reader.readF64();
-        stats.stages.push_back(std::move(stage));
-    }
-    stats.portfolioRaces = reader.readU64();
-    stats.portfolioCandidates = reader.readU64();
-    stats.portfolioCancelledEarly = reader.readU64();
-    const std::uint32_t winners = reader.readCount(1);
-    for (std::uint32_t i = 0; i < winners && reader.ok(); ++i) {
-        ServiceStats::WinnerCount winner;
-        winner.strategy = reader.readString();
-        winner.wins = reader.readU64();
-        stats.portfolioWinners.push_back(std::move(winner));
-    }
-    if (!reader.ok())
-        return reader.status();
-    if (!reader.atEnd())
-        return Status::invalidArgument(
-            "service-stats payload has trailing bytes");
-    return stats;
+    return decodeRecord<ServiceStats>(bytes, "service-stats");
 }
 
 std::string

@@ -3,7 +3,8 @@
  * Wire protocol of the `dcmbqcd` compile service: a length-prefixed,
  * checksummed frame stream over a Unix-domain socket, carrying
  * request/reply messages whose payloads reuse the DCMB binary codecs
- * (serialize/codecs.hh) for every IR type they embed.
+ * (serialize/codecs.hh) for every IR type they embed. Each message's
+ * layout is one `transfer` field list (serialize/wire.hh).
  *
  * Frame layout (all integers little-endian):
  *

@@ -4,8 +4,8 @@
  * written by a past build and checked in, and the current decoder
  * must keep accepting all of them — a codec change that breaks
  * persisted artifacts fails here instead of silently orphaning
- * users' files. `tests/golden/frames/*.bin` pin the payloads of the
- * dcmbqcd wire protocol the same way. Every fixture must also
+ * users' files. The files in `tests/golden/frames/` pin the payloads
+ * of the dcmbqcd wire protocol the same way. Every fixture must also
  * re-encode to its exact bytes, so an encoder change that alters the
  * layout fails here too.
  *

@@ -416,6 +416,52 @@ TEST(SerializeReject, ReportWithoutResultPayload)
               std::string::npos);
 }
 
+TEST(SerializeReject, BoolBytesOtherThanZeroOrOne)
+{
+    // DcMbqcConfig::useBdir follows numQpus, the 13-byte grid, kmax,
+    // and the partition fields (k, epsilonQ, alphaMax, gamma,
+    // maxIterations, seed).
+    DcMbqcConfig config;
+    config.useBdir = true;
+    BinaryWriter config_writer;
+    encodeConfig(config_writer, config);
+    std::vector<std::uint8_t> config_payload = config_writer.take();
+    const std::size_t use_bdir_at = 4 + 13 + 4 + 4 + 3 * 8 + 4 + 8;
+    ASSERT_EQ(config_payload[use_bdir_at], 1u);
+    ASSERT_TRUE(decodeConfigArtifact(
+                    sealArtifact(ArtifactKind::Config, config_payload))
+                    .ok());
+    config_payload[use_bdir_at] = 2;
+    auto bad_config = decodeConfigArtifact(
+        sealArtifact(ArtifactKind::Config, config_payload));
+    ASSERT_FALSE(bad_config.ok());
+    EXPECT_NE(bad_config.status().message().find("bool"),
+              std::string::npos);
+
+    // PortfolioReport::validated: with an empty note and no
+    // candidates, the report ends with validated, the note length
+    // and the candidate count.
+    CompileReport report = compileSomething();
+    PortfolioReport race;
+    race.validated = true;
+    report.portfolio = race;
+    BinaryWriter report_writer;
+    encodeCompileReport(report_writer, report);
+    std::vector<std::uint8_t> report_payload = report_writer.take();
+    const std::size_t validated_at = report_payload.size() - 1 - 4 - 4;
+    ASSERT_EQ(report_payload[validated_at], 1u);
+    ASSERT_TRUE(decodeCompileReportArtifact(
+                    sealArtifact(ArtifactKind::CompileReport,
+                                 report_payload))
+                    .ok());
+    report_payload[validated_at] = 2;
+    auto bad_report = decodeCompileReportArtifact(
+        sealArtifact(ArtifactKind::CompileReport, report_payload));
+    ASSERT_FALSE(bad_report.ok());
+    EXPECT_NE(bad_report.status().message().find("bool"),
+              std::string::npos);
+}
+
 TEST(SerializeReject, TrailingBytes)
 {
     BinaryWriter writer;
