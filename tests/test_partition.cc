@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "circuit/generators.hh"
 #include "common/rng.hh"
+#include "mbqc/pattern_builder.hh"
 #include "partition/adaptive.hh"
 #include "partition/louvain.hh"
 #include "partition/modularity.hh"
@@ -242,6 +247,89 @@ TEST(Adaptive, TerminatesOnStagnation)
     cfg.maxIterations = 64;
     const auto result = adaptivePartition(g, cfg);
     EXPECT_LT(result.probes, 64);
+}
+
+// --- Pinned Algorithm-2 results ---------------------------------------------
+//
+// adaptivePartition's full output on the paper's Table II programs.
+// Any change to the partitioner's internals (coarsening layout,
+// buffer reuse, candidate memoization) must keep these bytes: the
+// partition feeds every later pass, so a moved hash here moves
+// artifacts, cycles and cache contents.
+
+/** 64-bit FNV-1a over the assignment's 32-bit little-endian words. */
+std::uint64_t
+assignmentHash(const Partitioning &p)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (int part : p.assignment()) {
+        const auto word = static_cast<std::uint32_t>(part);
+        for (int byte = 0; byte < 4; ++byte) {
+            hash ^= (word >> (8 * byte)) & 0xffu;
+            hash *= 0x100000001b3ull;
+        }
+    }
+    return hash;
+}
+
+Circuit
+tableTwoProgram(const std::string &family, int qubits)
+{
+    if (family == "vqe")
+        return makeVqe(qubits);
+    if (family == "qaoa")
+        return makeQaoaMaxcut(qubits, 7);
+    if (family == "qft")
+        return makeQft(qubits);
+    return makeRippleCarryAdder(qubits);
+}
+
+struct AdaptivePin
+{
+    const char *family;
+    int qubits;
+    int k;
+    std::uint64_t hash;
+    int probes;
+    double alphaAtBest;
+    int cutEdges;
+};
+
+const AdaptivePin kAdaptivePins[] = {
+    {"vqe", 16, 4, 0xe9c43023355507a6ull, 2, 1.02, 47},
+    {"vqe", 16, 8, 0x4587d16dac77e3b5ull, 2, 1.02, 87},
+    {"vqe", 36, 4, 0xf37793fa494e35b4ull, 2, 1.02, 96},
+    {"vqe", 36, 8, 0x747c6c0971b29305ull, 256, 1.0404, 237},
+    {"qaoa", 16, 4, 0x62d11d2866eb8fb5ull, 3, 1.0404, 40},
+    {"qaoa", 16, 8, 0x913c31c16774fec3ull, 2, 1.02, 76},
+    {"qft", 16, 4, 0x3ab908838eb17c34ull, 2, 1.02, 33},
+    {"qft", 16, 8, 0xe9d03077d86827b0ull, 5, 1.02, 60},
+    {"qft", 36, 4, 0x9886988d01ad3505ull, 2, 1.0, 80},
+    {"qft", 36, 8, 0x1c844b67dbdf0c93ull, 2, 1.02, 152},
+    {"rca", 16, 4, 0x654fec5577407445ull, 2, 1.0, 22},
+    {"rca", 16, 8, 0x296f719b6f0dca03ull, 3, 1.0404, 30},
+    {"rca", 36, 4, 0x21bfdc8443154366ull, 2, 1.02, 16},
+    {"rca", 36, 8, 0xa596c176ae264d46ull, 2, 1.02, 45},
+    {"qft", 81, 8, 0x4cf0027e83fd2f00ull, 2, 1.02, 340},
+};
+
+TEST(AdaptivePins, TableTwoPartitionsAreByteStable)
+{
+    for (const AdaptivePin &pin : kAdaptivePins) {
+        const std::string name = std::string(pin.family) + "-" +
+            std::to_string(pin.qubits) + "@" + std::to_string(pin.k);
+        SCOPED_TRACE(name);
+        const Pattern pattern =
+            buildPattern(tableTwoProgram(pin.family, pin.qubits));
+        AdaptiveConfig config;
+        config.k = pin.k;
+        const AdaptiveResult result =
+            adaptivePartition(pattern.graph(), config);
+        EXPECT_EQ(assignmentHash(result.best), pin.hash);
+        EXPECT_EQ(result.probes, pin.probes);
+        EXPECT_EQ(result.alphaAtBest, pin.alphaAtBest);
+        EXPECT_EQ(result.cutEdges, pin.cutEdges);
+    }
 }
 
 } // namespace
