@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
+#include <limits>
 #include <thread>
 
 #include "api/api.hh"
@@ -66,6 +68,50 @@ TEST(CompileOptionsApi, RejectsBadAnnealingParameters)
         CompileOptions().bdirInitialTemperature(0.0).validate().ok());
     EXPECT_FALSE(CompileOptions().gamma(1.0).validate().ok());
     EXPECT_FALSE(CompileOptions().alphaMax(0.5).validate().ok());
+}
+
+TEST(CompileOptionsApi, NonFiniteParametersAreInvalidConfig)
+{
+    // NaN passes `x < lo`-style checks; these must come back as
+    // InvalidConfig from the driver, never reach the partitioner's
+    // assertions or an out-of-range cast.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<std::pair<const char *,
+                                std::function<void(DcMbqcConfig &)>>>
+        cases = {
+            {"gamma=nan", [&](DcMbqcConfig &c) { c.partition.gamma = nan; }},
+            {"gamma=inf", [&](DcMbqcConfig &c) { c.partition.gamma = inf; }},
+            {"alphaMax=nan",
+             [&](DcMbqcConfig &c) { c.partition.alphaMax = nan; }},
+            {"alphaMax=inf+hugeGamma",
+             [&](DcMbqcConfig &c) {
+                 c.partition.alphaMax = inf;
+                 c.partition.gamma = 1e300;
+             }},
+            {"epsilonQ=nan",
+             [&](DcMbqcConfig &c) { c.partition.epsilonQ = nan; }},
+            {"epsilonQ=inf",
+             [&](DcMbqcConfig &c) { c.partition.epsilonQ = inf; }},
+            {"temperature=nan",
+             [&](DcMbqcConfig &c) { c.bdir.initialTemperature = nan; }},
+            {"temperature=inf",
+             [&](DcMbqcConfig &c) { c.bdir.initialTemperature = inf; }},
+            {"coolingRate=nan",
+             [&](DcMbqcConfig &c) { c.bdir.coolingRate = nan; }},
+        };
+    for (const auto &[name, mutate] : cases) {
+        SCOPED_TRACE(name);
+        DcMbqcConfig config;
+        config.numQpus = 4;
+        config.grid.size = 9;
+        mutate(config);
+        const CompilerDriver driver(CompileOptions::fromConfig(config));
+        auto report =
+            driver.compile(CompileRequest::fromCircuit(makeQft(6)));
+        ASSERT_FALSE(report.ok());
+        EXPECT_EQ(report.status().code(), StatusCode::InvalidConfig);
+    }
 }
 
 TEST(CompileOptionsApi, BuildNormalizesPartitionK)

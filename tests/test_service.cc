@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -402,6 +403,34 @@ TEST(ServiceServerApi, PingAndStatsRoundTrip)
     EXPECT_GE(stats->pings, 1u);
     EXPECT_GE(stats->statsRequests, 1u);
     EXPECT_FALSE(stats->draining);
+}
+
+TEST(ServiceServerApi, NonFiniteConfigGetsErrorReplyAndServerStaysUp)
+{
+    // A decoded job config is caller input: NaN / inf partition
+    // parameters must come back as an error reply, not abort the
+    // daemon in the partitioner.
+    Harness h(basicConfig("nonfinite"));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    ServiceJob nan_gamma = qftJob(6, "nan-gamma");
+    nan_gamma.config.partition.gamma = nan;
+    ServiceJob inf_alpha = qftJob(6, "inf-alpha");
+    inf_alpha.config.partition.alphaMax = inf;
+    inf_alpha.config.partition.gamma = 1e300;
+    for (const ServiceJob *job : {&nan_gamma, &inf_alpha}) {
+        SCOPED_TRACE(job->request->label());
+        auto reply = h.client.compile(*job);
+        ASSERT_FALSE(reply.ok());
+        EXPECT_EQ(reply.status().code(), StatusCode::InvalidConfig)
+            << reply.status().toString();
+    }
+
+    auto stats = h.client.stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().toString();
+    EXPECT_EQ(stats->workers, 2);
+    auto valid = h.client.compile(qftJob(6, "after"));
+    EXPECT_TRUE(valid.ok()) << valid.status().toString();
 }
 
 TEST(ServiceServerApi, DrainStopsAcceptingAndUnlinksSocket)
