@@ -1,51 +1,13 @@
 #include "graph/matching.hh"
 
-#include <numeric>
-
 namespace dcmbqc
 {
 
 int
 heavyEdgeMatching(const Graph &g, Rng &rng, std::vector<NodeId> &match)
 {
-    const NodeId n = g.numNodes();
-    match.assign(n, invalidNode);
-    std::vector<NodeId> visit_order(n);
-    std::iota(visit_order.begin(), visit_order.end(), 0);
-    rng.shuffle(visit_order);
-
-    int pairs = 0;
-    for (NodeId u : visit_order) {
-        if (match[u] != invalidNode)
-            continue;
-        NodeId best = invalidNode;
-        int best_weight = -1;
-        int best_combined = 0;
-        for (const auto &adj : g.adjacency(u)) {
-            if (match[adj.neighbor] != invalidNode)
-                continue;
-            const int combined =
-                g.nodeWeight(u) + g.nodeWeight(adj.neighbor);
-            if (adj.weight > best_weight ||
-                (adj.weight == best_weight && combined < best_combined)) {
-                best = adj.neighbor;
-                best_weight = adj.weight;
-                best_combined = combined;
-            }
-        }
-        if (best != invalidNode) {
-            match[u] = best;
-            match[best] = u;
-            ++pairs;
-        } else {
-            match[u] = u;
-        }
-    }
-    // Any node never visited as unmatched neighbor stays self-matched.
-    for (NodeId u = 0; u < n; ++u)
-        if (match[u] == invalidNode)
-            match[u] = u;
-    return pairs;
+    std::vector<NodeId> visit_order;
+    return heavyEdgeMatching(g, rng, match, visit_order);
 }
 
 } // namespace dcmbqc

@@ -8,6 +8,7 @@
 #ifndef DCMBQC_GRAPH_MATCHING_HH
 #define DCMBQC_GRAPH_MATCHING_HH
 
+#include <numeric>
 #include <vector>
 
 #include "common/rng.hh"
@@ -24,10 +25,58 @@ namespace dcmbqc
  * the unmatched neighbor with maximum edge weight (ties broken by
  * smaller combined node weight to keep coarse nodes balanced).
  *
+ * Works on any graph with `Graph`'s read interface (numNodes,
+ * nodeWeight, adjacency), so the multilevel partitioner runs it on
+ * its flat coarse levels too.
+ *
  * @param match Out: match[u] = partner of u, or u itself when
  *        unmatched.
+ * @param visit_order Scratch for the shuffled visiting order; only
+ *        its capacity carries over between calls.
  * @return Number of matched pairs.
  */
+template <class AnyGraph>
+int
+heavyEdgeMatching(const AnyGraph &g, Rng &rng, std::vector<NodeId> &match,
+                  std::vector<NodeId> &visit_order)
+{
+    const NodeId n = g.numNodes();
+    match.assign(n, invalidNode);
+    visit_order.resize(n);
+    std::iota(visit_order.begin(), visit_order.end(), 0);
+    rng.shuffle(visit_order);
+
+    int pairs = 0;
+    for (NodeId u : visit_order) {
+        if (match[u] != invalidNode)
+            continue;
+        const int weight_u = g.nodeWeight(u);
+        NodeId best = invalidNode;
+        int best_weight = -1;
+        int best_combined = 0;
+        for (const auto &adj : g.adjacency(u)) {
+            if (match[adj.neighbor] != invalidNode)
+                continue;
+            const int combined = weight_u + g.nodeWeight(adj.neighbor);
+            if (adj.weight > best_weight ||
+                (adj.weight == best_weight && combined < best_combined)) {
+                best = adj.neighbor;
+                best_weight = adj.weight;
+                best_combined = combined;
+            }
+        }
+        if (best != invalidNode) {
+            match[u] = best;
+            match[best] = u;
+            ++pairs;
+        } else {
+            match[u] = u;
+        }
+    }
+    return pairs;
+}
+
+/** heavyEdgeMatching with a throwaway visiting-order buffer. */
 int heavyEdgeMatching(const Graph &g, Rng &rng, std::vector<NodeId> &match);
 
 } // namespace dcmbqc

@@ -6,17 +6,20 @@
 #include "common/logging.hh"
 #include "noise/analysis.hh"
 #include "partition/modularity.hh"
-#include "partition/multilevel.hh"
 
 namespace dcmbqc
 {
 
 AdaptiveResult
 adaptivePartition(const Graph &g, const AdaptiveConfig &config,
-                  const NoiseModel *noise)
+                  const NoiseModel *noise, PartitionWorkspace *workspace)
 {
     DCMBQC_ASSERT(config.k >= 1, "adaptivePartition: k >= 1 required");
     DCMBQC_ASSERT(config.gamma > 1.0, "gamma must exceed 1");
+
+    PartitionWorkspace local;
+    PartitionWorkspace &ws = workspace ? *workspace : local;
+    ws.bind(g);
 
     AdaptiveResult result;
     result.best = Partitioning(g.numNodes(), config.k);
@@ -36,7 +39,7 @@ adaptivePartition(const Graph &g, const AdaptiveConfig &config,
         ml.k = config.k;
         ml.alpha = alpha;
         ml.seed = config.seed + static_cast<std::uint64_t>(iter) * 0x9e37;
-        Partitioning p = MultilevelPartitioner(ml).partition(g);
+        Partitioning p = MultilevelPartitioner(ml).partition(g, ws);
         const double q = modularity(g, p);
         ++result.probes;
 

@@ -3,10 +3,19 @@
  * Adaptive graph partitioning — Algorithm 2 of the paper.
  *
  * Starts from a perfectly balanced k-way partition (alpha = 1) and
- * iteratively relaxes the balance constraint by the multiplicative
- * step factor gamma, accepting a new, less balanced partition only
- * when it yields a modularity gain larger than epsilon_Q. Terminates
- * when the gain stagnates or alpha reaches alpha_max.
+ * adapts the balance constraint by the multiplicative step factor
+ * gamma after every probe: up when modularity rose by more than
+ * epsilon_Q (capped at alpha_max), down when it fell by more than
+ * epsilon_Q. The loop ends when the change stays within epsilon_Q,
+ * when a rise happens at alpha_max, when a fall reaches alpha = 1,
+ * or after maxIterations probes. The best partition seen is kept.
+ *
+ * In practice the cap is what ends many runs: each probe uses a new
+ * seed, so modularity can alternate between two partitions more than
+ * epsilon_Q apart, and alpha then bounces between two neighboring
+ * values (e.g. 1.040 and 1.061 for VQE-36 at 8 QPUs) until all
+ * maxIterations probes are spent. Every probe reuses one partition
+ * workspace, so a probe pays only for its seed-dependent work.
  */
 
 #ifndef DCMBQC_PARTITION_ADAPTIVE_HH
@@ -15,6 +24,7 @@
 #include <cstdint>
 
 #include "graph/graph.hh"
+#include "partition/multilevel.hh"
 #include "partition/partitioning.hh"
 
 namespace dcmbqc
@@ -80,11 +90,15 @@ struct AdaptiveResult
  *
  * @param g The computation graph (nodes = resource units).
  * @param noise Optional noise model driving candidate selection.
+ * @param workspace Optional workspace the probes share (bound to g on
+ *        entry); null uses one local to the call. Passing one only
+ *        keeps its buffers' capacity across calls, never the result.
  * @return Best partition found with diagnostics.
  */
 AdaptiveResult adaptivePartition(const Graph &g,
                                  const AdaptiveConfig &config = {},
-                                 const NoiseModel *noise = nullptr);
+                                 const NoiseModel *noise = nullptr,
+                                 PartitionWorkspace *workspace = nullptr);
 
 } // namespace dcmbqc
 

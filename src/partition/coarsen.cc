@@ -1,8 +1,6 @@
 #include "partition/coarsen.hh"
 
 #include <algorithm>
-#include <cstdint>
-#include <unordered_map>
 
 #include "common/thread_pool.hh"
 
@@ -12,135 +10,171 @@ namespace dcmbqc
 namespace
 {
 
-/** Chunk size of the parallel edge aggregation. Fixed so the chunk
- *  decomposition depends on the edge count only, not the workers. */
-constexpr std::size_t kContractChunk = 1 << 16;
-
-/** Key for an undirected coarse node pair. */
-std::uint64_t
-coarseKey(NodeId a, NodeId b)
-{
-    const std::uint64_t lo = static_cast<std::uint32_t>(std::min(a, b));
-    const std::uint64_t hi = static_cast<std::uint32_t>(std::max(a, b));
-    return (hi << 32) | lo;
-}
-
-/** Aggregated coarse pair: first fine-edge index fixes both the
- *  emission position and the stored (u, v) orientation. */
-struct CoarseAcc
-{
-    std::size_t first;
-    NodeId cu;
-    NodeId cv;
-    int weight;
-};
-
+/**
+ * Append coarse node c's distinct coarse neighbors to `out`. The
+ * fine members' adjacency lists are merged by fine edge id, so each
+ * neighbor is appended at its lowest fine edge id (kept in the
+ * `edge` field) and the run comes out in first-occurrence order.
+ * `seen_by` / `slot` detect repeats; they are indexed by coarse id.
+ */
+template <class FineGraph>
 void
-assignCoarseIds(const Graph &g, const std::vector<NodeId> &match,
-                std::vector<NodeId> &to_coarse, NodeId &num_coarse)
+contractNode(const FineGraph &g, const std::vector<NodeId> &to_coarse,
+             NodeId c, NodeId x, NodeId y, NodeId *seen_by,
+             std::size_t *slot, std::vector<Adjacency> &out)
 {
-    const NodeId n = g.numNodes();
-    to_coarse.assign(n, invalidNode);
-    NodeId next = 0;
-    for (NodeId u = 0; u < n; ++u) {
-        if (to_coarse[u] != invalidNode)
-            continue;
-        const NodeId partner = match[u];
-        to_coarse[u] = next;
-        if (partner != u)
-            to_coarse[partner] = next;
-        ++next;
+    auto visit = [&](const Adjacency &adj) {
+        const NodeId b = to_coarse[adj.neighbor];
+        if (b == c)
+            return;
+        if (seen_by[b] != c) {
+            seen_by[b] = c;
+            slot[b] = out.size();
+            out.push_back({b, adj.edge, adj.weight});
+        } else {
+            out[slot[b]].weight += adj.weight;
+        }
+    };
+
+    const auto &ax = g.adjacency(x);
+    auto i = ax.begin();
+    if (y != x) {
+        const auto &ay = g.adjacency(y);
+        auto j = ay.begin();
+        while (i != ax.end() && j != ay.end())
+            visit(i->edge < j->edge ? *i++ : *j++);
+        for (; j != ay.end(); ++j)
+            visit(*j);
     }
-    num_coarse = next;
+    for (; i != ax.end(); ++i)
+        visit(*i);
 }
 
 } // namespace
 
-Graph
-contractMatching(const Graph &g, const std::vector<NodeId> &match,
-                 std::vector<NodeId> &to_coarse, ThreadPool *pool)
+void
+Contractor::contract(const Graph &g, const std::vector<NodeId> &match,
+                     std::vector<NodeId> &to_coarse, CoarseGraph &coarse,
+                     ThreadPool *pool)
 {
+    run(g, match, to_coarse, coarse, pool);
+}
+
+void
+Contractor::contract(const CoarseGraph &g,
+                     const std::vector<NodeId> &match,
+                     std::vector<NodeId> &to_coarse, CoarseGraph &coarse,
+                     ThreadPool *pool)
+{
+    run(g, match, to_coarse, coarse, pool);
+}
+
+template <class FineGraph>
+void
+Contractor::run(const FineGraph &g, const std::vector<NodeId> &match,
+                std::vector<NodeId> &to_coarse, CoarseGraph &coarse,
+                ThreadPool *pool)
+{
+    // A pair is named when its lower member comes up.
     const NodeId n = g.numNodes();
-    NodeId next = 0;
-    assignCoarseIds(g, match, to_coarse, next);
-
-    Graph coarse(next);
-    std::vector<int> weights(next, 0);
-    for (NodeId u = 0; u < n; ++u)
-        weights[to_coarse[u]] += g.nodeWeight(u);
-    for (NodeId cu = 0; cu < next; ++cu)
-        coarse.setNodeWeight(cu, weights[cu]);
-
-    const auto &edges = g.edges();
-    const bool use_parallel = pool != nullptr &&
-        pool->numThreads() > 1 && edges.size() >= 2 * kContractChunk;
-
-    if (!use_parallel) {
-        for (const auto &e : edges) {
-            const NodeId cu = to_coarse[e.u];
-            const NodeId cv = to_coarse[e.v];
-            if (cu != cv)
-                coarse.addEdge(cu, cv, e.weight,
-                               /*merge_parallel=*/true);
-        }
-        return coarse;
-    }
-
-    // Per-chunk aggregation (workers), then an order-invariant merge
-    // keyed on the first fine-edge index of each coarse pair.
-    const std::size_t num_chunks =
-        (edges.size() + kContractChunk - 1) / kContractChunk;
-    std::vector<std::unordered_map<std::uint64_t, CoarseAcc>> maps(
-        num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-        pool->submit([&, c] {
-            const std::size_t begin = c * kContractChunk;
-            const std::size_t end =
-                std::min(begin + kContractChunk, edges.size());
-            auto &map = maps[c];
-            for (std::size_t i = begin; i < end; ++i) {
-                const auto &e = edges[i];
-                const NodeId cu = to_coarse[e.u];
-                const NodeId cv = to_coarse[e.v];
-                if (cu == cv)
-                    continue;
-                auto [it, inserted] = map.emplace(
-                    coarseKey(cu, cv), CoarseAcc{i, cu, cv, e.weight});
-                if (!inserted)
-                    it->second.weight += e.weight;
-            }
-        });
-    }
-    pool->wait();
-
-    std::unordered_map<std::uint64_t, CoarseAcc> merged;
-    for (auto &map : maps) {
-        for (auto &[key, acc] : map) {
-            auto [it, inserted] = merged.emplace(key, acc);
-            if (inserted)
-                continue;
-            CoarseAcc &into = it->second;
-            into.weight += acc.weight;
-            if (acc.first < into.first) {
-                into.first = acc.first;
-                into.cu = acc.cu;
-                into.cv = acc.cv;
-            }
+    to_coarse.resize(n);
+    members_.clear();
+    coarse.nodeWeights_.clear();
+    for (NodeId u = 0; u < n; ++u) {
+        const NodeId partner = match[u];
+        if (partner < u) {
+            to_coarse[u] = to_coarse[partner];
+            coarse.nodeWeights_[to_coarse[u]] += g.nodeWeight(u);
+        } else {
+            to_coarse[u] = static_cast<NodeId>(members_.size());
+            members_.push_back(u);
+            coarse.nodeWeights_.push_back(g.nodeWeight(u));
         }
     }
+    const NodeId nc = static_cast<NodeId>(members_.size());
 
-    std::vector<const CoarseAcc *> order;
-    order.reserve(merged.size());
-    for (const auto &[key, acc] : merged)
-        order.push_back(&acc);
-    std::sort(order.begin(), order.end(),
-              [](const CoarseAcc *a, const CoarseAcc *b) {
-                  return a->first < b->first;
-              });
-    for (const CoarseAcc *acc : order)
-        coarse.addEdge(acc->cu, acc->cv, acc->weight,
-                       /*merge_parallel=*/false);
-    return coarse;
+    auto &offsets = coarse.offsets_;
+    auto &adjacency = coarse.adjacency_;
+    offsets.resize(static_cast<std::size_t>(nc) + 1);
+    adjacency.clear();
+
+    const std::size_t fine_edges = g.edges().size();
+    const int workers = pool ? pool->numThreads() : 1;
+    if (workers <= 1 || fine_edges < kParallelContractMinEdges) {
+        seenBy_.assign(nc, invalidNode);
+        slot_.resize(nc);
+        for (NodeId c = 0; c < nc; ++c) {
+            offsets[c] = adjacency.size();
+            contractNode(g, to_coarse, c, members_[c],
+                         match[members_[c]], seenBy_.data(),
+                         slot_.data(), adjacency);
+        }
+    } else {
+        // One contiguous node range per worker, each with its own
+        // repeat markers; concatenating the ranges in order gives
+        // the sequential layout.
+        struct Range
+        {
+            std::vector<std::size_t> offsets;
+            std::vector<Adjacency> adjacency;
+        };
+        std::vector<Range> ranges(workers);
+        const NodeId span = (nc + workers - 1) / workers;
+        for (int r = 0; r < workers; ++r) {
+            pool->submit([&, r] {
+                const NodeId begin = std::min<NodeId>(r * span, nc);
+                const NodeId end = std::min<NodeId>(begin + span, nc);
+                std::vector<NodeId> seen_by(nc, invalidNode);
+                std::vector<std::size_t> slot(nc);
+                Range &range = ranges[r];
+                for (NodeId c = begin; c < end; ++c) {
+                    range.offsets.push_back(range.adjacency.size());
+                    contractNode(g, to_coarse, c, members_[c],
+                                 match[members_[c]], seen_by.data(),
+                                 slot.data(), range.adjacency);
+                }
+            });
+        }
+        pool->wait();
+        NodeId c = 0;
+        for (const Range &range : ranges) {
+            const std::size_t base = adjacency.size();
+            for (std::size_t off : range.offsets)
+                offsets[c++] = base + off;
+            adjacency.insert(adjacency.end(), range.adjacency.begin(),
+                             range.adjacency.end());
+        }
+    }
+    offsets[nc] = adjacency.size();
+
+    // Name coarse edges in order of their first fine edge, marked
+    // from the lower end of each pair, then swap each entry's first
+    // fine edge id for its coarse edge id (a monotone map, so every
+    // run stays sorted). Unmarked fine edges get a name never used.
+    firstToCoarse_.assign(fine_edges, 0);
+    for (NodeId a = 0; a < nc; ++a)
+        for (std::size_t i = offsets[a]; i < offsets[a + 1]; ++i)
+            firstToCoarse_[adjacency[i].edge] |= adjacency[i].neighbor > a;
+    EdgeId next = 0;
+    for (EdgeId &id : firstToCoarse_) {
+        const EdgeId marked = id;
+        id = next;
+        next += marked;
+    }
+
+    const auto &fine_edge_list = g.edges();
+    coarse.edges_.resize(next);
+    for (NodeId a = 0; a < nc; ++a) {
+        for (std::size_t i = offsets[a]; i < offsets[a + 1]; ++i) {
+            Adjacency &adj = adjacency[i];
+            const EdgeId first = adj.edge;
+            adj.edge = firstToCoarse_[first];
+            if (adj.neighbor > a)
+                coarse.edges_[adj.edge] = {
+                    to_coarse[fine_edge_list[first].u],
+                    to_coarse[fine_edge_list[first].v], adj.weight};
+        }
+    }
 }
 
 } // namespace dcmbqc

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -18,33 +17,122 @@ namespace dcmbqc
 namespace
 {
 
-/** One level of the coarsening hierarchy. */
-struct CoarseLevel
+/** The refined sequential-slab candidate for one balance cap. */
+struct SlabCandidate
 {
-    Graph graph;
-    /** Map from this level's nodes to the next-coarser level. */
-    std::vector<NodeId> toCoarse;
+    int k;
+    long long maxPartWeight;
+    int refinePasses;
+    /** False when no slab boundary fits the balance window. */
+    bool feasible;
+    std::vector<int> assign;
+    long long cutWeight;
 };
 
+/** Slab candidates memoized per bound graph (oldest dropped first). */
+constexpr std::size_t kMaxSlabCandidates = 16;
+
+} // namespace
+
+struct PartitionWorkspace::State
+{
+    const Graph *graph = nullptr;
+
+    /** levels[i] is hierarchy level i + 1 (level 0 is the graph). */
+    std::vector<CoarseGraph> levels;
+    /** toCoarse[i] maps level i's nodes to level i + 1. */
+    std::vector<std::vector<NodeId>> toCoarse;
+    Contractor contractor;
+    std::unique_ptr<ThreadPool> pool;
+
+    std::vector<NodeId> match;
+    std::vector<NodeId> visitOrder;
+    std::vector<int> assign;
+    std::vector<int> fineAssign;
+    std::vector<long long> partWeight;
+    std::vector<long long> conn;
+    std::vector<NodeId> queue;
+    /** Rebalance: each node's cheapest move out of its part. */
+    std::vector<long long> movePenalty;
+    std::vector<int> moveTarget;
+    /** Refinement: nodes a sweep must visit. */
+    std::vector<char> recheck;
+
+    /** flux[p]: weight of edges crossing between ids p-1 and p. */
+    std::vector<long long> flux;
+    std::vector<long long> prefixWeight;
+    std::vector<SlabCandidate> slabs;
+};
+
+PartitionWorkspace::PartitionWorkspace() : state_(std::make_unique<State>())
+{
+}
+
+PartitionWorkspace::~PartitionWorkspace() = default;
+
+void
+PartitionWorkspace::bind(const Graph &g)
+{
+    state_->graph = &g;
+    state_->flux.clear();
+    state_->prefixWeight.clear();
+    state_->slabs.clear();
+}
+
+const Graph *
+PartitionWorkspace::graph() const
+{
+    return state_->graph;
+}
+
+namespace
+{
+
+using State = PartitionWorkspace::State;
+
+template <class AnyGraph>
+void
+computePartWeights(const AnyGraph &g, const std::vector<int> &assign,
+                   int k, std::vector<long long> &part_weight)
+{
+    part_weight.assign(k, 0);
+    for (NodeId u = 0; u < g.numNodes(); ++u)
+        part_weight[assign[u]] += g.nodeWeight(u);
+}
+
+long long
+cutWeightOf(const Graph &g, const std::vector<int> &assign)
+{
+    long long cut = 0;
+    for (const auto &e : g.edges())
+        if (assign[e.u] != assign[e.v])
+            cut += e.weight;
+    return cut;
+}
+
 /**
- * Greedy graph-growing initial partition of the coarsest graph.
- * Grows k regions by BFS from random seeds, then assigns leftovers
- * to the lightest part among their neighbors.
+ * Greedy graph-growing initial partition of the coarsest graph into
+ * `assign`. Grows k regions by BFS from random seeds, then assigns
+ * leftovers to the lightest part among their neighbors.
  */
-Partitioning
-initialPartition(const Graph &g, int k, long long max_part_weight,
-                 Rng &rng)
+template <class AnyGraph>
+void
+initialPartition(const AnyGraph &g, int k, long long max_part_weight,
+                 Rng &rng, State &ws)
 {
     const NodeId n = g.numNodes();
-    std::vector<int> assign(n, -1);
-    std::vector<long long> part_weight(k, 0);
+    std::vector<int> &assign = ws.assign;
+    std::vector<long long> &part_weight = ws.partWeight;
+    assign.assign(n, -1);
+    part_weight.assign(k, 0);
 
-    std::vector<NodeId> seeds(n);
+    std::vector<NodeId> &seeds = ws.visitOrder;
+    seeds.resize(n);
     std::iota(seeds.begin(), seeds.end(), 0);
     rng.shuffle(seeds);
 
     std::size_t seed_cursor = 0;
-    std::vector<NodeId> queue;
+    std::vector<NodeId> &queue = ws.queue;
     for (int p = 0; p < k; ++p) {
         // Find an unassigned seed.
         while (seed_cursor < seeds.size() && assign[seeds[seed_cursor]] >= 0)
@@ -93,8 +181,6 @@ initialPartition(const Graph &g, int k, long long max_part_weight,
         assign[u] = best_part;
         part_weight[best_part] += g.nodeWeight(u);
     }
-
-    return Partitioning(std::move(assign), k);
 }
 
 /**
@@ -102,83 +188,142 @@ initialPartition(const Graph &g, int k, long long max_part_weight,
  * overweight parts (cheapest cut penalty first), even at negative
  * gain. Needed because greedy initial partitioning can overfill the
  * part that absorbs leftovers.
+ *
+ * Each move takes the lexicographically least (penalty, node,
+ * target part) over the overweight part's nodes. Every node's best
+ * (penalty, target) is cached and re-evaluated only when a move can
+ * change it: for the moved node's neighbors (their connectivity
+ * changed) and for nodes whose best target no longer fits them.
+ * Targets only ever get heavier while one part is drained, so every
+ * other cached choice stays exact.
  */
+template <class AnyGraph>
 void
-rebalancePass(const Graph &g, Partitioning &p, long long max_part_weight)
+rebalancePass(const AnyGraph &g, std::vector<int> &assign, int k,
+              long long max_part_weight, State &ws)
 {
-    const int k = p.numParts();
-    auto part_weight = p.partWeights(g);
+    std::vector<long long> &part_weight = ws.partWeight;
+    std::vector<long long> &conn = ws.conn;
+    computePartWeights(g, assign, k, part_weight);
+    conn.resize(k);
+    ws.movePenalty.resize(g.numNodes());
+    ws.moveTarget.resize(g.numNodes());
 
     for (int from = 0; from < k; ++from) {
+        if (part_weight[from] <= max_part_weight)
+            continue;
+
+        // Best move of u out of `from`; target -1 when nothing fits.
+        auto evaluate = [&](NodeId u) {
+            std::fill(conn.begin(), conn.end(), 0);
+            for (const auto &adj : g.adjacency(u))
+                conn[assign[adj.neighbor]] += adj.weight;
+            int target = -1;
+            long long penalty = 0;
+            for (int q = 0; q < k; ++q) {
+                if (q == from ||
+                    part_weight[q] + g.nodeWeight(u) > max_part_weight)
+                    continue;
+                if (target < 0 || conn[from] - conn[q] < penalty) {
+                    target = q;
+                    penalty = conn[from] - conn[q];
+                }
+            }
+            ws.moveTarget[u] = target;
+            ws.movePenalty[u] = penalty;
+        };
+        std::vector<NodeId> &members = ws.queue;
+        members.clear();
+        for (NodeId u = 0; u < g.numNodes(); ++u) {
+            if (assign[u] == from) {
+                members.push_back(u);
+                evaluate(u);
+            }
+        }
+
         int guard = g.numNodes() + 1;
         while (part_weight[from] > max_part_weight && guard-- > 0) {
-            // Pick the node of `from` whose move is cheapest.
             NodeId best_node = invalidNode;
-            int best_part = -1;
-            long long best_penalty = 0;
-            for (NodeId u = 0; u < g.numNodes(); ++u) {
-                if (p.part(u) != from)
+            for (NodeId u : members) {
+                if (assign[u] != from || ws.moveTarget[u] < 0)
                     continue;
-                std::vector<long long> conn(k, 0);
-                for (const auto &adj : g.adjacency(u))
-                    conn[p.part(adj.neighbor)] += adj.weight;
-                for (int q = 0; q < k; ++q) {
-                    if (q == from)
-                        continue;
-                    if (part_weight[q] + g.nodeWeight(u) >
-                        max_part_weight)
-                        continue;
-                    const long long penalty = conn[from] - conn[q];
-                    if (best_node == invalidNode ||
-                        penalty < best_penalty) {
-                        best_node = u;
-                        best_part = q;
-                        best_penalty = penalty;
-                    }
-                }
+                if (best_node == invalidNode ||
+                    ws.movePenalty[u] < ws.movePenalty[best_node])
+                    best_node = u;
             }
             if (best_node == invalidNode)
                 break; // every other part is full; give up
-            p.setPart(best_node, best_part);
+            const int best_part = ws.moveTarget[best_node];
+            assign[best_node] = best_part;
             part_weight[from] -= g.nodeWeight(best_node);
             part_weight[best_part] += g.nodeWeight(best_node);
+
+            for (const auto &adj : g.adjacency(best_node))
+                if (assign[adj.neighbor] == from)
+                    evaluate(adj.neighbor);
+            for (NodeId u : members)
+                if (assign[u] == from && ws.moveTarget[u] == best_part &&
+                    part_weight[best_part] + g.nodeWeight(u) >
+                        max_part_weight)
+                    evaluate(u);
         }
     }
 }
 
-} // namespace
-
+/**
+ * One boundary refinement sweep (see refineBoundaryPass).
+ * `part_weight` must hold the part weights of `assign` on entry and
+ * is kept up to date, so consecutive sweeps can share it.
+ *
+ * `recheck[u]` flags the nodes whose move decision may differ from
+ * the one they got when last visited; a sweep visits only those
+ * (set them all for a first sweep). A node that stayed put had no
+ * positive-gain target, and keeps having none until a neighbor
+ * moves, unless some such target merely did not fit: those nodes
+ * and every neighbor of a moved node stay flagged. Skipping the
+ * rest leaves every decision exactly as a full sweep makes it.
+ */
+template <class AnyGraph>
 long long
-refineBoundaryPass(const Graph &g, Partitioning &p,
-                   long long max_part_weight)
+refineBoundary(const AnyGraph &g, std::vector<int> &assign, int k,
+               long long max_part_weight, std::vector<long long> &part_weight,
+               std::vector<long long> &conn, std::vector<char> &recheck)
 {
-    const int k = p.numParts();
-    auto part_weight = p.partWeights(g);
+    conn.resize(k);
     long long total_gain = 0;
 
-    // Per-node connectivity to each part, computed lazily.
-    std::vector<long long> conn(k, 0);
-
     for (NodeId u = 0; u < g.numNodes(); ++u) {
-        const int from = p.part(u);
+        if (!recheck[u])
+            continue;
+        recheck[u] = 0;
+        const int from = assign[u];
+        const auto &adjacency = g.adjacency(u);
+        // Most nodes are interior: find that out before tallying.
         bool boundary = false;
-        std::fill(conn.begin(), conn.end(), 0);
-        for (const auto &adj : g.adjacency(u)) {
-            const int q = p.part(adj.neighbor);
-            conn[q] += adj.weight;
-            if (q != from)
+        for (const auto &adj : adjacency) {
+            if (assign[adj.neighbor] != from) {
                 boundary = true;
+                break;
+            }
         }
         if (!boundary)
             continue;
+        std::fill(conn.begin(), conn.end(), 0);
+        for (const auto &adj : adjacency)
+            conn[assign[adj.neighbor]] += adj.weight;
 
         int best_part = from;
         long long best_gain = 0;
+        bool blocked = false;
         for (int q = 0; q < k; ++q) {
-            if (q == from)
+            // Only a positive gain can win, so parts no better
+            // connected than `from` are skipped up front.
+            if (q == from || conn[q] <= conn[from])
                 continue;
-            if (part_weight[q] + g.nodeWeight(u) > max_part_weight)
+            if (part_weight[q] + g.nodeWeight(u) > max_part_weight) {
+                blocked = true;
                 continue;
+            }
             const long long gain = conn[q] - conn[from];
             if (gain > best_gain ||
                 (gain == best_gain && gain > 0 &&
@@ -188,13 +333,177 @@ refineBoundaryPass(const Graph &g, Partitioning &p,
             }
         }
         if (best_part != from && best_gain > 0) {
-            p.setPart(u, best_part);
+            assign[u] = best_part;
             part_weight[from] -= g.nodeWeight(u);
             part_weight[best_part] += g.nodeWeight(u);
             total_gain += best_gain;
+            recheck[u] = 1;
+            for (const auto &adj : adjacency)
+                recheck[adj.neighbor] = 1;
+        } else if (blocked) {
+            recheck[u] = 1;
         }
     }
     return total_gain;
+}
+
+/** Up to `passes` refinement sweeps, stopping at one that gains 0. */
+template <class AnyGraph>
+void
+refineSweeps(const AnyGraph &g, std::vector<int> &assign, int k,
+             long long max_part_weight, int passes, State &ws)
+{
+    ws.recheck.assign(g.numNodes(), 1);
+    for (int pass = 0; pass < passes; ++pass)
+        if (refineBoundary(g, assign, k, max_part_weight, ws.partWeight,
+                           ws.conn, ws.recheck) == 0)
+            break;
+}
+
+/**
+ * Rebalance, then refine until a sweep gains nothing. The rebalance
+ * leaves ws.partWeight exact for the sweeps.
+ */
+template <class AnyGraph>
+void
+balanceAndRefine(const AnyGraph &g, std::vector<int> &assign, int k,
+                 long long max_part_weight, int passes, State &ws)
+{
+    rebalancePass(g, assign, k, max_part_weight, ws);
+    refineSweeps(g, assign, k, max_part_weight, passes, ws);
+}
+
+/** Run f on hierarchy level `level` (0 = the input graph). */
+template <class F>
+decltype(auto)
+atLevel(const Graph &g, State &ws, std::size_t level, F &&f)
+{
+    if (level == 0)
+        return f(g);
+    return f(ws.levels[level - 1]);
+}
+
+/**
+ * The pool for contracting a level of `fine_edges` edges, created on
+ * first need; null when the sequential loop applies.
+ */
+ThreadPool *
+contractionPool(State &ws, std::size_t fine_edges, int num_workers)
+{
+    if (fine_edges < kParallelContractMinEdges ||
+        !compilePathConfig().parallelPartition)
+        return nullptr;
+    const int workers =
+        num_workers > 0 ? num_workers : ThreadPool::defaultNumThreads();
+    if (workers <= 1)
+        return nullptr;
+    if (!ws.pool || ws.pool->numThreads() != workers)
+        ws.pool = std::make_unique<ThreadPool>(workers);
+    return ws.pool.get();
+}
+
+/**
+ * The refined sequential-slab partition for one balance cap, from
+ * the memo or built now. MBQC computation graphs are temporally
+ * local (node ids follow circuit time), so contiguous slabs cut few
+ * edges. The cut boundaries snap to low-flux positions (e.g.
+ * gate-block boundaries) within the balance window.
+ */
+const SlabCandidate &
+slabCandidate(const Graph &g, State &ws, int k, long long max_part_weight,
+              int refine_passes)
+{
+    for (const SlabCandidate &slab : ws.slabs)
+        if (slab.k == k && slab.maxPartWeight == max_part_weight &&
+            slab.refinePasses == refine_passes)
+            return slab;
+
+    const NodeId n = g.numNodes();
+    if (ws.flux.empty()) {
+        ws.flux.assign(n + 1, 0);
+        for (const auto &e : g.edges()) {
+            const NodeId lo = std::min(e.u, e.v);
+            const NodeId hi = std::max(e.u, e.v);
+            ws.flux[lo + 1] += e.weight;
+            ws.flux[hi + 1] -= e.weight;
+        }
+        for (NodeId p = 1; p <= n; ++p)
+            ws.flux[p] += ws.flux[p - 1];
+
+        ws.prefixWeight.assign(n + 1, 0);
+        for (NodeId u = 0; u < n; ++u)
+            ws.prefixWeight[u + 1] = ws.prefixWeight[u] + g.nodeWeight(u);
+    }
+    const std::vector<long long> &flux = ws.flux;
+    const std::vector<long long> &prefix_weight = ws.prefixWeight;
+    const long long total = prefix_weight[n];
+
+    // Greedy left-to-right: place boundary b in the window that
+    // keeps every part (including the remaining suffix) within
+    // max_part_weight, at the flux minimum.
+    std::vector<NodeId> cuts;
+    NodeId prev = 0;
+    bool feasible = true;
+    for (int b = 1; b < k && feasible; ++b) {
+        // Window on prefix weight: the finished parts must not
+        // exceed the cap, and the remaining suffix must fit into
+        // the remaining parts.
+        const long long hi_weight = prefix_weight[prev] + max_part_weight;
+        const long long lo_weight =
+            total - static_cast<long long>(k - b) * max_part_weight;
+        NodeId best = invalidNode;
+        for (NodeId p = prev + 1; p < n; ++p) {
+            if (prefix_weight[p] > hi_weight)
+                break;
+            if (prefix_weight[p] < lo_weight)
+                continue;
+            if (best == invalidNode || flux[p] < flux[best])
+                best = p;
+        }
+        if (best == invalidNode) {
+            feasible = false;
+            break;
+        }
+        cuts.push_back(best);
+        prev = best;
+    }
+
+    SlabCandidate slab{k, max_part_weight, refine_passes, feasible, {}, 0};
+    if (feasible) {
+        slab.assign.assign(n, k - 1);
+        NodeId start = 0;
+        for (int b = 0; b < static_cast<int>(cuts.size()); ++b) {
+            for (NodeId u = start; u < cuts[b]; ++u)
+                slab.assign[u] = b;
+            start = cuts[b];
+        }
+        computePartWeights(g, slab.assign, k, ws.partWeight);
+        refineSweeps(g, slab.assign, k, max_part_weight, refine_passes,
+                     ws);
+        slab.cutWeight = cutWeightOf(g, slab.assign);
+    }
+    if (ws.slabs.size() >= kMaxSlabCandidates)
+        ws.slabs.erase(ws.slabs.begin());
+    ws.slabs.push_back(std::move(slab));
+    return ws.slabs.back();
+}
+
+} // namespace
+
+long long
+refineBoundaryPass(const Graph &g, Partitioning &p,
+                   long long max_part_weight)
+{
+    std::vector<int> assign = p.assignment();
+    std::vector<long long> part_weight;
+    std::vector<long long> conn;
+    std::vector<char> recheck(g.numNodes(), 1);
+    computePartWeights(g, assign, p.numParts(), part_weight);
+    const long long gain = refineBoundary(g, assign, p.numParts(),
+                                          max_part_weight, part_weight,
+                                          conn, recheck);
+    p = Partitioning(std::move(assign), p.numParts());
+    return gain;
 }
 
 MultilevelPartitioner::MultilevelPartitioner(MultilevelConfig config)
@@ -207,9 +516,20 @@ MultilevelPartitioner::MultilevelPartitioner(MultilevelConfig config)
 Partitioning
 MultilevelPartitioner::partition(const Graph &g) const
 {
+    PartitionWorkspace workspace;
+    return partition(g, workspace);
+}
+
+Partitioning
+MultilevelPartitioner::partition(const Graph &g,
+                                 PartitionWorkspace &workspace) const
+{
     const int k = config_.k;
     if (k == 1 || g.numNodes() == 0)
         return Partitioning(g.numNodes(), std::max(k, 1));
+    if (workspace.graph() != &g)
+        workspace.bind(g);
+    State &ws = *workspace.state_;
 
     Rng rng(config_.seed);
 
@@ -218,140 +538,72 @@ MultilevelPartitioner::partition(const Graph &g) const
     for (NodeId u = 0; u < g.numNodes(); ++u)
         max_node_weight = std::max(max_node_weight, g.nodeWeight(u));
     // Allow one max-weight node of slack so a feasible partition
-    // always exists even for alpha = 1.
+    // always exists even for alpha = 1. Shares above the whole graph
+    // constrain nothing, so clamping there (which keeps the cast in
+    // range for any alpha) changes no result.
+    const double share = std::min(
+        config_.alpha * static_cast<double>(total) /
+            static_cast<double>(k),
+        static_cast<double>(total));
     const long long max_part_weight = std::max<long long>(
-        static_cast<long long>(std::ceil(
-            config_.alpha * static_cast<double>(total) /
-            static_cast<double>(k))) + max_node_weight,
+        static_cast<long long>(std::ceil(share)) + max_node_weight,
         max_node_weight);
 
     // --- Coarsening phase ------------------------------------------------
-    std::vector<CoarseLevel> levels;
-    levels.push_back({g, {}});
+    // Level 0 is g itself; coarser levels reuse the workspace's arrays.
     const NodeId coarsen_target = std::max<NodeId>(
         static_cast<NodeId>(config_.coarsenTargetPerPart) * k, 2 * k);
-
-    // One pool shared across all contraction levels; worker count
-    // only changes wall clock, never the coarse graphs (the merge in
-    // contractMatching is order-invariant by construction).
-    std::unique_ptr<ThreadPool> pool;
-    if (compilePathConfig().parallelPartition) {
-        const int workers = config_.numWorkers > 0
-            ? config_.numWorkers
-            : ThreadPool::defaultNumThreads();
-        if (workers > 1)
-            pool = std::make_unique<ThreadPool>(workers);
-    }
-
-    while (levels.back().graph.numNodes() > coarsen_target) {
-        const Graph &current = levels.back().graph;
-        std::vector<NodeId> match;
-        heavyEdgeMatching(current, rng, match);
-        std::vector<NodeId> to_coarse;
-        Graph coarse =
-            contractMatching(current, match, to_coarse, pool.get());
-        if (coarse.numNodes() >=
-            static_cast<NodeId>(0.95 * current.numNodes())) {
-            break; // matching stagnated (e.g., star graphs)
+    std::size_t depth = 0;
+    for (;;) {
+        const NodeId fine_nodes = atLevel(
+            g, ws, depth, [](const auto &fine) { return fine.numNodes(); });
+        if (fine_nodes <= coarsen_target)
+            break;
+        if (ws.levels.size() <= depth) {
+            ws.levels.emplace_back();
+            ws.toCoarse.emplace_back();
         }
-        levels.back().toCoarse = std::move(to_coarse);
-        levels.push_back({std::move(coarse), {}});
+        CoarseGraph &coarse = ws.levels[depth];
+        atLevel(g, ws, depth, [&](const auto &fine) {
+            heavyEdgeMatching(fine, rng, ws.match, ws.visitOrder);
+            ws.contractor.contract(
+                fine, ws.match, ws.toCoarse[depth], coarse,
+                contractionPool(ws, fine.edges().size(),
+                                config_.numWorkers));
+        });
+        if (coarse.numNodes() >= static_cast<NodeId>(0.95 * fine_nodes))
+            break; // matching stagnated (e.g., star graphs)
+        ++depth;
     }
 
     // --- Initial partition on the coarsest graph -------------------------
-    Partitioning part =
-        initialPartition(levels.back().graph, k, max_part_weight, rng);
-    rebalancePass(levels.back().graph, part, max_part_weight);
-    for (int pass = 0; pass < config_.refinePasses; ++pass)
-        if (refineBoundaryPass(levels.back().graph, part,
-                               max_part_weight) == 0)
-            break;
+    atLevel(g, ws, depth, [&](const auto &coarsest) {
+        initialPartition(coarsest, k, max_part_weight, rng, ws);
+        balanceAndRefine(coarsest, ws.assign, k, max_part_weight,
+                         config_.refinePasses, ws);
+    });
 
     // --- Uncoarsening with refinement -------------------------------------
-    for (std::size_t level = levels.size() - 1; level-- > 0;) {
-        const auto &fine = levels[level];
-        std::vector<int> fine_assign(fine.graph.numNodes());
-        for (NodeId u = 0; u < fine.graph.numNodes(); ++u)
-            fine_assign[u] = part.part(fine.toCoarse[u]);
-        part = Partitioning(std::move(fine_assign), k);
-        rebalancePass(fine.graph, part, max_part_weight);
-        for (int pass = 0; pass < config_.refinePasses; ++pass)
-            if (refineBoundaryPass(fine.graph, part, max_part_weight) == 0)
-                break;
+    for (std::size_t level = depth; level-- > 0;) {
+        const std::vector<NodeId> &to_coarse = ws.toCoarse[level];
+        ws.fineAssign.resize(to_coarse.size());
+        for (std::size_t u = 0; u < to_coarse.size(); ++u)
+            ws.fineAssign[u] = ws.assign[to_coarse[u]];
+        std::swap(ws.assign, ws.fineAssign);
+        atLevel(g, ws, level, [&](const auto &fine) {
+            balanceAndRefine(fine, ws.assign, k, max_part_weight,
+                             config_.refinePasses, ws);
+        });
     }
 
     // --- Sequential-slab candidate ----------------------------------------
-    // MBQC computation graphs are temporally local (node ids follow
-    // circuit time), so contiguous slabs cut few edges. The cut
-    // boundaries snap to low-flux positions (e.g. gate-block
-    // boundaries) within the balance window.
     if (config_.useSequentialCandidate && g.numNodes() > k) {
-        const NodeId n = g.numNodes();
-        // flux[p] = weight of edges crossing between ids p-1 and p.
-        std::vector<long long> flux(n + 1, 0);
-        for (const auto &e : g.edges()) {
-            const NodeId lo = std::min(e.u, e.v);
-            const NodeId hi = std::max(e.u, e.v);
-            flux[lo + 1] += e.weight;
-            flux[hi + 1] -= e.weight;
-        }
-        for (NodeId p = 1; p <= n; ++p)
-            flux[p] += flux[p - 1];
-
-        std::vector<long long> prefix_weight(n + 1, 0);
-        for (NodeId u = 0; u < n; ++u)
-            prefix_weight[u + 1] = prefix_weight[u] + g.nodeWeight(u);
-
-        // Greedy left-to-right: place boundary b in the window that
-        // keeps every part (including the remaining suffix) within
-        // max_part_weight, at the flux minimum.
-        std::vector<NodeId> cuts;
-        NodeId prev = 0;
-        bool feasible = true;
-        for (int b = 1; b < k && feasible; ++b) {
-            // Window on prefix weight: the finished parts must not
-            // exceed the cap, and the remaining suffix must fit into
-            // the remaining parts.
-            const long long hi_weight =
-                prefix_weight[prev] + max_part_weight;
-            const long long lo_weight =
-                total - static_cast<long long>(k - b) * max_part_weight;
-            NodeId best = invalidNode;
-            for (NodeId p = prev + 1; p < n; ++p) {
-                if (prefix_weight[p] > hi_weight)
-                    break;
-                if (prefix_weight[p] < lo_weight)
-                    continue;
-                if (best == invalidNode || flux[p] < flux[best])
-                    best = p;
-            }
-            if (best == invalidNode) {
-                feasible = false;
-                break;
-            }
-            cuts.push_back(best);
-            prev = best;
-        }
-
-        if (feasible) {
-            std::vector<int> slab(n, k - 1);
-            NodeId start = 0;
-            for (int b = 0; b < static_cast<int>(cuts.size()); ++b) {
-                for (NodeId u = start; u < cuts[b]; ++u)
-                    slab[u] = b;
-                start = cuts[b];
-            }
-            Partitioning slab_part(std::move(slab), k);
-            for (int pass = 0; pass < config_.refinePasses; ++pass)
-                if (refineBoundaryPass(g, slab_part,
-                                       max_part_weight) == 0)
-                    break;
-            if (slab_part.cutWeight(g) < part.cutWeight(g))
-                part = std::move(slab_part);
-        }
+        const SlabCandidate &slab = slabCandidate(
+            g, ws, k, max_part_weight, config_.refinePasses);
+        if (slab.feasible && slab.cutWeight < cutWeightOf(g, ws.assign))
+            return Partitioning(slab.assign, k);
     }
-
-    return part;
+    return Partitioning(ws.assign, k);
 }
 
 } // namespace dcmbqc

@@ -11,6 +11,7 @@
 #define DCMBQC_PARTITION_MULTILEVEL_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "graph/graph.hh"
 #include "partition/partitioning.hh"
@@ -52,12 +53,59 @@ struct MultilevelConfig
 
     /**
      * Workers for the parallel coarsening contraction (<= 0 uses the
-     * hardware default). The contraction merge is order-invariant,
-     * so the partition is byte-identical for every worker count; the
-     * knob only trades wall clock. Ignored when
-     * `compilePathConfig().parallelPartition` is off.
+     * hardware default). Every coarse node's contraction depends on
+     * the fine graph alone, so the partition is byte-identical for
+     * every worker count; the knob only trades wall clock. Ignored
+     * when `compilePathConfig().parallelPartition` is off.
+     *
+     * The pool is created lazily: only when a level about to be
+     * contracted has at least kParallelContractMinEdges (2^17) edges
+     * and more than one worker is asked for. It then lives in the
+     * partition workspace, so the probes of one adaptivePartition
+     * call share it; smaller graphs never start a thread.
      */
     int numWorkers = 0;
+};
+
+/**
+ * Buffers and graph-derived data that repeated partitions of one
+ * graph share: the coarse levels (flat CSR arrays whose capacity
+ * carries over), matching and refinement scratch, the contraction
+ * pool once one is needed, and the sequential-slab candidate, which
+ * does not depend on the seed and is memoized per (k, part-weight
+ * cap, refine passes).
+ *
+ * Algorithm 2 probes Partition(G, alpha) up to maxIterations times on
+ * the same graph; one workspace per adaptivePartition call makes a
+ * probe cost only its seed-dependent work. Results are byte-identical
+ * to partitioning with a fresh workspace.
+ */
+class PartitionWorkspace
+{
+  public:
+    PartitionWorkspace();
+    ~PartitionWorkspace();
+
+    PartitionWorkspace(const PartitionWorkspace &) = delete;
+    PartitionWorkspace &operator=(const PartitionWorkspace &) = delete;
+
+    /**
+     * Point the workspace at g, dropping everything derived from the
+     * previously bound graph; buffers keep their capacity. Call it
+     * again after modifying g, or when a different graph now lives
+     * at g's address. g must outlive its use through the workspace.
+     */
+    void bind(const Graph &g);
+
+    /** The bound graph, or null. */
+    const Graph *graph() const;
+
+    /** The buffers themselves; opaque outside the partitioner. */
+    struct State;
+
+  private:
+    friend class MultilevelPartitioner;
+    std::unique_ptr<State> state_;
 };
 
 /**
@@ -73,6 +121,14 @@ class MultilevelPartitioner
      * Deterministic for a fixed config (seed included).
      */
     Partitioning partition(const Graph &g) const;
+
+    /**
+     * Same result as partition(g), reusing `workspace`'s buffers and
+     * memoized slab candidates. Binds the workspace to g when it is
+     * bound to another graph object.
+     */
+    Partitioning partition(const Graph &g,
+                           PartitionWorkspace &workspace) const;
 
     const MultilevelConfig &config() const { return config_; }
 

@@ -12,8 +12,10 @@
 
 #include "circuit/generators.hh"
 #include "common/rng.hh"
+#include "graph/matching.hh"
 #include "mbqc/pattern_builder.hh"
 #include "partition/adaptive.hh"
+#include "partition/coarsen.hh"
 #include "partition/louvain.hh"
 #include "partition/modularity.hh"
 #include "partition/multilevel.hh"
@@ -329,6 +331,158 @@ TEST(AdaptivePins, TableTwoPartitionsAreByteStable)
         EXPECT_EQ(result.probes, pin.probes);
         EXPECT_EQ(result.alphaAtBest, pin.alphaAtBest);
         EXPECT_EQ(result.cutEdges, pin.cutEdges);
+    }
+}
+
+TEST(AdaptivePins, ReusedWorkspaceMatchesFreshCalls)
+{
+    const Graph vqe36 = buildPattern(makeVqe(36)).graph();
+    const Graph qft16 = buildPattern(makeQft(16)).graph();
+    const Graph rca36 = buildPattern(makeRippleCarryAdder(36)).graph();
+    const Graph ring = cliqueRing(4, 12);
+
+    // Interleave graphs and part counts so every buffer is resized
+    // both ways and the slab memo sees a new graph or k each time.
+    const std::vector<std::pair<const Graph *, int>> sequence = {
+        {&vqe36, 8}, {&qft16, 4}, {&rca36, 8}, {&ring, 4},
+        {&qft16, 8}, {&vqe36, 4}, {&rca36, 4}, {&qft16, 4},
+    };
+    PartitionWorkspace workspace;
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+        const Graph &g = *sequence[i].first;
+        AdaptiveConfig config;
+        config.k = sequence[i].second;
+        SCOPED_TRACE("step " + std::to_string(i) + ": k=" +
+                     std::to_string(config.k));
+        const AdaptiveResult fresh = adaptivePartition(g, config);
+        const AdaptiveResult reused =
+            adaptivePartition(g, config, nullptr, &workspace);
+        EXPECT_EQ(reused.best.assignment(), fresh.best.assignment());
+        EXPECT_EQ(reused.probes, fresh.probes);
+        EXPECT_EQ(reused.alphaAtBest, fresh.alphaAtBest);
+        EXPECT_EQ(reused.modularity, fresh.modularity);
+        EXPECT_EQ(reused.cutEdges, fresh.cutEdges);
+    }
+
+    // A different graph at the same address: adaptivePartition
+    // rebinds on entry, so nothing memoized for the old one leaks.
+    Graph slot = qft16;
+    AdaptiveConfig config;
+    config.k = 4;
+    adaptivePartition(slot, config, nullptr, &workspace);
+    slot = rca36;
+    EXPECT_EQ(adaptivePartition(slot, config, nullptr, &workspace)
+                  .best.assignment(),
+              adaptivePartition(rca36, config).best.assignment());
+
+    // Direct multilevel calls rebind when handed another graph.
+    for (double alpha : {1.0, 1.2, 1.0}) {
+        for (const Graph *g : {&vqe36, &ring}) {
+            MultilevelConfig ml;
+            ml.k = 4;
+            ml.alpha = alpha;
+            const MultilevelPartitioner partitioner(ml);
+            EXPECT_EQ(partitioner.partition(*g, workspace).assignment(),
+                      partitioner.partition(*g).assignment());
+        }
+    }
+}
+
+// --- Contraction layout ----------------------------------------------------
+
+/**
+ * The coarse graph as Graph::addEdge(merge_parallel) builds it: the
+ * layout the flat contraction must reproduce.
+ */
+template <class FineGraph>
+Graph
+mergedContraction(const FineGraph &g, const std::vector<NodeId> &to_coarse,
+                  NodeId num_coarse)
+{
+    Graph coarse(num_coarse);
+    std::vector<int> weights(num_coarse, 0);
+    for (NodeId u = 0; u < g.numNodes(); ++u)
+        weights[to_coarse[u]] += g.nodeWeight(u);
+    for (NodeId c = 0; c < num_coarse; ++c)
+        coarse.setNodeWeight(c, weights[c]);
+    for (const auto &e : g.edges())
+        if (to_coarse[e.u] != to_coarse[e.v])
+            coarse.addEdge(to_coarse[e.u], to_coarse[e.v], e.weight,
+                           /*merge_parallel=*/true);
+    return coarse;
+}
+
+void
+expectSameLayout(const CoarseGraph &flat, const Graph &merged)
+{
+    ASSERT_EQ(flat.numNodes(), merged.numNodes());
+    ASSERT_EQ(flat.numEdges(), merged.numEdges());
+    for (EdgeId e = 0; e < merged.numEdges(); ++e) {
+        EXPECT_EQ(flat.edges()[e].u, merged.edge(e).u) << "edge " << e;
+        EXPECT_EQ(flat.edges()[e].v, merged.edge(e).v) << "edge " << e;
+        EXPECT_EQ(flat.edges()[e].weight, merged.edge(e).weight)
+            << "edge " << e;
+    }
+    for (NodeId u = 0; u < merged.numNodes(); ++u) {
+        EXPECT_EQ(flat.nodeWeight(u), merged.nodeWeight(u));
+        const auto &want = merged.adjacency(u);
+        ASSERT_EQ(flat.adjacency(u).size(), want.size()) << "node " << u;
+        std::size_t i = 0;
+        for (const auto &adj : flat.adjacency(u)) {
+            EXPECT_EQ(adj.neighbor, want[i].neighbor) << "node " << u;
+            EXPECT_EQ(adj.edge, want[i].edge) << "node " << u;
+            EXPECT_EQ(adj.weight, want[i].weight) << "node " << u;
+            ++i;
+        }
+    }
+}
+
+TEST(Contraction, FlatLevelsMatchMergedAddEdgeLayout)
+{
+    // Weighted multigraph: parallel fine edges must merge as well.
+    Graph multi(40);
+    Rng edge_rng(4);
+    for (int i = 0; i < 160; ++i) {
+        const auto u = static_cast<NodeId>(edge_rng.uniformInt(40));
+        const auto v = static_cast<NodeId>(edge_rng.uniformInt(40));
+        if (u != v)
+            multi.addEdge(u, v, 1 + static_cast<int>(edge_rng.uniformInt(3)));
+    }
+    for (NodeId u = 0; u < multi.numNodes(); ++u)
+        multi.setNodeWeight(u, 1 + u % 3);
+
+    const std::vector<Graph> corpus = {
+        multi,
+        randomGraph(300, 900, 21),
+        buildPattern(makeQft(16)).graph(),
+        buildPattern(makeVqe(16)).graph(),
+    };
+    Contractor contractor;
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+        SCOPED_TRACE("graph " + std::to_string(i));
+        Rng rng(100 + i);
+        std::vector<NodeId> match;
+        std::vector<NodeId> order;
+        std::vector<NodeId> to_coarse;
+
+        heavyEdgeMatching(corpus[i], rng, match, order);
+        CoarseGraph level1;
+        contractor.contract(corpus[i], match, to_coarse, level1);
+        const Graph merged1 =
+            mergedContraction(corpus[i], to_coarse, level1.numNodes());
+        expectSameLayout(level1, merged1);
+
+        // One level further, from the flat form.
+        heavyEdgeMatching(level1, rng, match, order);
+        std::vector<NodeId> merged_match;
+        Rng replay(100 + i);
+        heavyEdgeMatching(corpus[i], replay, merged_match, order);
+        heavyEdgeMatching(merged1, replay, merged_match, order);
+        EXPECT_EQ(match, merged_match);
+        CoarseGraph level2;
+        contractor.contract(level1, match, to_coarse, level2);
+        expectSameLayout(level2, mergedContraction(merged1, to_coarse,
+                                                   level2.numNodes()));
     }
 }
 

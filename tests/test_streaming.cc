@@ -483,28 +483,46 @@ TEST(StreamingValidation, NullOrEmptyStreamsAreRejected)
 
 // --- Deterministic parallel kernels ----------------------------------------
 
+/** Every array of a coarse level, flattened for exact comparison. */
+std::vector<long long>
+coarseLayout(const CoarseGraph &c)
+{
+    std::vector<long long> out{c.numNodes(), c.numEdges()};
+    for (NodeId u = 0; u < c.numNodes(); ++u) {
+        out.push_back(c.nodeWeight(u));
+        out.push_back(static_cast<long long>(c.adjacency(u).size()));
+        for (const auto &adj : c.adjacency(u))
+            out.insert(out.end(), {adj.neighbor, adj.edge, adj.weight});
+    }
+    for (const auto &e : c.edges())
+        out.insert(out.end(), {e.u, e.v, e.weight});
+    return out;
+}
+
 TEST(ParallelKernels, ContractionMatchesSequentialForAnyWorkerCount)
 {
-    // Large enough that the chunked path actually engages
-    // (2 * kContractChunk = 131072 edges).
+    // Large enough that the pooled path actually engages
+    // (kParallelContractMinEdges = 131072 edges).
     const Graph g = randomGraph(5000, 200000, 17);
+    ASSERT_GE(g.edges().size(), kParallelContractMinEdges);
     std::vector<NodeId> match(g.numNodes());
     for (NodeId u = 0; u < g.numNodes(); ++u)
         match[u] = (u % 2 == 0 && u + 1 < g.numNodes()) ? u + 1
             : (u % 2 == 1 ? u - 1 : u);
 
+    Contractor contractor;
     std::vector<NodeId> to_coarse_seq;
-    const Graph sequential =
-        contractMatching(g, match, to_coarse_seq, nullptr);
-    const auto oracle = encodeGraphArtifact(sequential);
+    CoarseGraph sequential;
+    contractor.contract(g, match, to_coarse_seq, sequential, nullptr);
+    const auto oracle = coarseLayout(sequential);
 
     for (int workers : {2, 4, 8}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
         ThreadPool pool(workers);
         std::vector<NodeId> to_coarse;
-        const Graph parallel =
-            contractMatching(g, match, to_coarse, &pool);
-        EXPECT_EQ(encodeGraphArtifact(parallel), oracle);
+        CoarseGraph parallel;
+        contractor.contract(g, match, to_coarse, parallel, &pool);
+        EXPECT_EQ(coarseLayout(parallel), oracle);
         EXPECT_EQ(to_coarse, to_coarse_seq);
     }
 }
