@@ -27,6 +27,13 @@ qft36()
     return p;
 }
 
+const Prepared &
+vqe36()
+{
+    static const Prepared p = prepare(Family::Vqe, 36);
+    return p;
+}
+
 void
 BM_MultilevelPartition(benchmark::State &state)
 {
@@ -41,18 +48,32 @@ BM_MultilevelPartition(benchmark::State &state)
 }
 BENCHMARK(BM_MultilevelPartition)->Arg(2)->Arg(4)->Arg(8);
 
+/**
+ * Algorithm 2 end to end. `probes` is the number of Partition(G,
+ * alpha) calls per run and `time_per_probe` their mean cost: VQE-36 at
+ * k = 8 bounces between two alphas for all 256 probes, so it tracks
+ * the per-probe cost, while QFT-36 at k = 4 stops after two.
+ */
 void
-BM_AdaptivePartition(benchmark::State &state)
+BM_AdaptivePartition(benchmark::State &state, const Prepared &(*program)(),
+                     int k)
 {
-    const auto &p = qft36();
+    const auto &p = program();
     AdaptiveConfig config;
-    config.k = 4;
+    config.k = k;
+    int probes = 0;
     for (auto _ : state) {
         auto result = adaptivePartition(p.pattern.graph(), config);
+        probes = result.probes;
         benchmark::DoNotOptimize(result);
     }
+    state.counters["probes"] = probes;
+    state.counters["time_per_probe"] = benchmark::Counter(
+        probes, benchmark::Counter::kIsIterationInvariantRate |
+                    benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_AdaptivePartition);
+BENCHMARK_CAPTURE(BM_AdaptivePartition, qft36_k4, qft36, 4);
+BENCHMARK_CAPTURE(BM_AdaptivePartition, vqe36_k8, vqe36, 8);
 
 void
 BM_SingleQpuPlacement(benchmark::State &state)

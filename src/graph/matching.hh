@@ -76,9 +76,6 @@ heavyEdgeMatching(const AnyGraph &g, Rng &rng, std::vector<NodeId> &match,
     return pairs;
 }
 
-/** heavyEdgeMatching with a throwaway visiting-order buffer. */
-int heavyEdgeMatching(const Graph &g, Rng &rng, std::vector<NodeId> &match);
-
 } // namespace dcmbqc
 
 #endif // DCMBQC_GRAPH_MATCHING_HH

@@ -208,7 +208,8 @@ TEST(Matching, MatchesDisjointPairs)
     const Graph g = pathGraph(8);
     Rng rng(3);
     std::vector<NodeId> match;
-    const int pairs = heavyEdgeMatching(g, rng, match);
+    std::vector<NodeId> order;
+    const int pairs = heavyEdgeMatching(g, rng, match, order);
     EXPECT_GE(pairs, 2);
     for (NodeId u = 0; u < 8; ++u) {
         ASSERT_GE(match[u], 0);
@@ -225,7 +226,8 @@ TEST(Matching, PrefersHeavyEdges)
     g.addEdge(1, 2, 100);
     Rng rng(5);
     std::vector<NodeId> match;
-    heavyEdgeMatching(g, rng, match);
+    std::vector<NodeId> order;
+    heavyEdgeMatching(g, rng, match, order);
     EXPECT_EQ(match[1], 2);
     EXPECT_EQ(match[0], 0);
 }
@@ -236,7 +238,8 @@ TEST(Matching, IsolatedNodesSelfMatched)
     g.addEdge(0, 1);
     Rng rng(7);
     std::vector<NodeId> match;
-    heavyEdgeMatching(g, rng, match);
+    std::vector<NodeId> order;
+    heavyEdgeMatching(g, rng, match, order);
     EXPECT_EQ(match[2], 2);
 }
 
