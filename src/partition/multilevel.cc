@@ -79,12 +79,6 @@ PartitionWorkspace::bind(const Graph &g)
     state_->slabs.clear();
 }
 
-const Graph *
-PartitionWorkspace::graph() const
-{
-    return state_->graph;
-}
-
 namespace
 {
 
@@ -527,9 +521,9 @@ MultilevelPartitioner::partition(const Graph &g,
     const int k = config_.k;
     if (k == 1 || g.numNodes() == 0)
         return Partitioning(g.numNodes(), std::max(k, 1));
-    if (workspace.graph() != &g)
-        workspace.bind(g);
     State &ws = *workspace.state_;
+    if (ws.graph != &g)
+        workspace.bind(g);
 
     Rng rng(config_.seed);
 

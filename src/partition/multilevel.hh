@@ -97,9 +97,6 @@ class PartitionWorkspace
      */
     void bind(const Graph &g);
 
-    /** The bound graph, or null. */
-    const Graph *graph() const;
-
     /** The buffers themselves; opaque outside the partitioner. */
     struct State;
 
