@@ -11,8 +11,10 @@
  * diverge. Results are mirrored to BENCH_noise_sweep.json.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <set>
 #include <string>
 
 #include "bench/bench_common.hh"
@@ -221,17 +223,19 @@ main()
              seed <= static_cast<std::uint64_t>(instances); ++seed) {
             Graph g(32);
             Rng edges(seed * 7919);
+            std::set<std::pair<NodeId, NodeId>> seen;
             int added = 0;
             while (added < 64) {
                 const NodeId u =
                     static_cast<NodeId>(edges.uniformInt(32));
                 const NodeId v =
                     static_cast<NodeId>(edges.uniformInt(32));
-                if (u == v || g.hasEdge(u, v))
+                if (u == v || !seen.insert(std::minmax(u, v)).second)
                     continue;
                 g.addEdge(u, v);
                 ++added;
             }
+            g.freeze();
             AdaptiveConfig config;
             config.k = 4;
             config.seed = seed;

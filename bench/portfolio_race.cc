@@ -12,7 +12,9 @@
  * trusted. Results are mirrored to BENCH_portfolio.json.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 
 #include "bench/bench_common.hh"
@@ -37,15 +39,17 @@ makeWorkload(std::uint64_t seed)
 {
     Graph g(32);
     Rng edges(seed * 7919);
+    std::set<std::pair<NodeId, NodeId>> seen;
     int added = 0;
     while (added < 64) {
         const NodeId u = static_cast<NodeId>(edges.uniformInt(32));
         const NodeId v = static_cast<NodeId>(edges.uniformInt(32));
-        if (u == v || g.hasEdge(u, v))
+        if (u == v || !seen.insert(std::minmax(u, v)).second)
             continue;
         g.addEdge(u, v);
         ++added;
     }
+    g.freeze();
     return g;
 }
 

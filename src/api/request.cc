@@ -44,6 +44,7 @@ CompileRequest::fromGraph(Graph graph, Digraph deps, std::string label)
     CompileRequest request;
     request.entry_ = EntryPoint::Graph;
     request.label_ = std::move(label);
+    graph.freeze();
     request.graph_.emplace(std::move(graph));
     request.deps_.emplace(std::move(deps));
     return request;

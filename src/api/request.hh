@@ -70,7 +70,8 @@ class CompileRequest
 
     /**
      * Start from a raw computation graph and its real-time
-     * dependency graph (both over the same dense node ids).
+     * dependency graph (both over the same dense node ids). The
+     * graph is frozen here if it is not yet.
      */
     static CompileRequest fromGraph(Graph graph, Digraph deps,
                                     std::string label = "");

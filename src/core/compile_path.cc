@@ -29,7 +29,6 @@ defaults()
     config.streamingFrontEnd = fast;
     config.streamingScheduler = fast;
     config.parallelLocal = fast;
-    config.parallelPartition = fast;
     return config;
 }
 

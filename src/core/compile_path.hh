@@ -3,8 +3,8 @@
  * Runtime selection of the compile-path implementations. The
  * streaming/parallel paths introduced by the scale rework (windowed
  * pattern build, segment-emitting list scheduler, parallel per-QPU
- * local compiles, chunked partition kernels) are the defaults; the
- * original monolithic/sequential paths stay alive as the
+ * local compiles) are the defaults; the original
+ * monolithic/sequential paths stay alive as the
  * differential oracle and are selected either per process via this
  * config, via the DCMBQC_COMPILE_REFERENCE=1 environment variable,
  * or as the build default with -DDCMBQC_COMPILE_REFERENCE=ON (which
@@ -52,13 +52,6 @@ struct CompilePathConfig
      * sequentially in QPU order.
      */
     bool parallelLocal;
-
-    /**
-     * Partition kernels (Louvain move rounds, multilevel coarsening
-     * contraction) fan fixed deterministic chunks across the thread
-     * pool; false runs the sequential loops.
-     */
-    bool parallelPartition;
 };
 
 /**

@@ -22,6 +22,7 @@ LayerSchedulingProblem::LayerSchedulingProblem(
       kmax_(kmax),
       plRatio_(pl_ratio)
 {
+    localEdges_.freeze();
     DCMBQC_ASSERT(numQpus_ >= 1, "LSP needs at least one QPU");
     DCMBQC_ASSERT(kmax_ >= 1, "Kmax must be positive");
     DCMBQC_ASSERT(plRatio_ >= 1, "PL ratio must be positive");

@@ -58,7 +58,8 @@ class LayerSchedulingProblem
      * @param main_tasks All main tasks, grouped by QPU with
      *        consecutive indices 0..m_i-1 per QPU.
      * @param sync_tasks All synchronization tasks.
-     * @param local_edges Fusee pairs on the same QPU (global ids).
+     * @param local_edges Fusee pairs on the same QPU (global ids);
+     *        frozen here if it is not yet.
      * @param deps Global real-time dependency graph.
      * @param num_qpus Number of QPUs.
      * @param kmax Connection capacity per connection layer.

@@ -79,6 +79,7 @@ intraQpuEdges(const Graph &g, const DcMbqcResult &result)
     for (const auto &e : g.edges())
         if (result.partition.part(e.u) == result.partition.part(e.v))
             local.addEdge(e.u, e.v, e.weight);
+    local.freeze();
     return local;
 }
 

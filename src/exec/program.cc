@@ -33,6 +33,7 @@ ExecProgram::fromGraph(Graph graph, Digraph deps, std::string label)
 {
     ExecProgram program;
     program.label_ = std::move(label);
+    graph.freeze();
     program.graph_ = std::move(graph);
     program.deps_ = std::move(deps);
     return program;

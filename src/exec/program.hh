@@ -43,8 +43,9 @@ class ExecProgram
                                    std::string label = "");
 
     /**
-     * Wrap a raw computation graph + dependency graph. No pattern:
-     * only schedule-level backends (mc-loss) can run it.
+     * Wrap a raw computation graph + dependency graph (frozen here
+     * if it is not yet). No pattern: only schedule-level backends
+     * (mc-loss) can run it.
      */
     static ExecProgram fromGraph(Graph graph, Digraph deps,
                                  std::string label = "");

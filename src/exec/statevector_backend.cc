@@ -2,12 +2,9 @@
 
 #include <cmath>
 
-#include <optional>
-
 #include "common/rng.hh"
 #include "exec/noise_channel.hh"
 #include "exec/shot_tree.hh"
-#include "sim/kernel_config.hh"
 #include "sim/pattern_runner.hh"
 #include "sim/pattern_stepper.hh"
 #include "sim/statevector.hh"
@@ -68,14 +65,12 @@ StatevectorBackend::run(const ExecProgram &program,
     // stream, so an inactive channel changes nothing.
     std::vector<std::string> outcomes(options.shots);
     std::vector<std::int32_t> lost(options.shots, 0);
+    // Every shot replays the whole pattern: dense amplitudes make a
+    // shared-prefix tree slower than naive replay here.
     const SvPatternStepper stepper(pattern, options.applyByproducts);
-    std::optional<ShotTree<SvPatternStepper>> tree;
-    if (simKernelConfig().shotTree)
-        tree.emplace(stepper);
     forEachShot(options.shots, result.threads, [&](int shot) {
         Rng rng(shotSeed(options.seed, shot));
-        std::string bits = tree ? tree->run(rng).bits
-                                : runShotNaive(stepper, rng).bits;
+        std::string bits = runShotNaive(stepper, rng).bits;
         if (channel->active()) {
             Rng noise_rng(shotSeed(options.seed, shot) ^
                           kNoiseStreamSalt);

@@ -25,19 +25,14 @@ namespace dcmbqc
  * the unmatched neighbor with maximum edge weight (ties broken by
  * smaller combined node weight to keep coarse nodes balanced).
  *
- * Works on any graph with `Graph`'s read interface (numNodes,
- * nodeWeight, adjacency), so the multilevel partitioner runs it on
- * its flat coarse levels too.
- *
  * @param match Out: match[u] = partner of u, or u itself when
  *        unmatched.
  * @param visit_order Scratch for the shuffled visiting order; only
  *        its capacity carries over between calls.
  * @return Number of matched pairs.
  */
-template <class AnyGraph>
-int
-heavyEdgeMatching(const AnyGraph &g, Rng &rng, std::vector<NodeId> &match,
+inline int
+heavyEdgeMatching(const Graph &g, Rng &rng, std::vector<NodeId> &match,
                   std::vector<NodeId> &visit_order)
 {
     const NodeId n = g.numNodes();

@@ -1,11 +1,21 @@
 #include "mbqc/pattern.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace dcmbqc
 {
+
+Pattern::Pattern(Graph graph, std::vector<QubitId> wires)
+    : graph_(std::move(graph)), angles_(graph_.numNodes(), 0.0),
+      flow_(graph_.numNodes(), invalidNode), wires_(std::move(wires))
+{
+    DCMBQC_ASSERT(graph_.frozen(), "Pattern: graph is not frozen");
+    DCMBQC_ASSERT(static_cast<NodeId>(wires_.size()) == numNodes(),
+                  "Pattern: one wire per node required");
+}
 
 NodeId
 Pattern::addNode(QubitId wire)
@@ -38,6 +48,7 @@ Pattern::setOutputs(std::vector<NodeId> outputs)
 void
 Pattern::validate() const
 {
+    DCMBQC_ASSERT(graph_.frozen(), "graph not frozen");
     DCMBQC_ASSERT(static_cast<NodeId>(angles_.size()) == numNodes(),
                   "angles size mismatch");
     const NodeId measured =

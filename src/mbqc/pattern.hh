@@ -31,9 +31,14 @@ class Pattern
   public:
     Pattern() = default;
 
+    /**
+     * A pattern over a frozen graph whose node u lies on circuit
+     * wire wires[u]; every node starts unmeasured.
+     */
+    Pattern(Graph graph, std::vector<QubitId> wires);
+
     /** The graph state's entanglement graph. */
     const Graph &graph() const { return graph_; }
-    Graph &mutableGraph() { return graph_; }
 
     NodeId numNodes() const { return graph_.numNodes(); }
 
@@ -64,10 +69,15 @@ class Pattern
     // Mutators used by PatternBuilder ------------------------------------
     NodeId addNode(QubitId wire);
     void addEdge(NodeId u, NodeId v) { graph_.addEdge(u, v); }
+    /** Freeze the graph once every node and edge is added. */
+    void freezeGraph() { graph_.freeze(); }
     void setMeasurement(NodeId u, double theta, NodeId flow_successor);
     void setOutputs(std::vector<NodeId> outputs);
 
-    /** Internal consistency checks (flow, angles, orders). */
+    /**
+     * Internal consistency checks (flow, angles, orders); the graph
+     * must be frozen.
+     */
     void validate() const;
 
   private:

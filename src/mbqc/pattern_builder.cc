@@ -68,6 +68,7 @@ buildPattern(const JCircuit &jcircuit)
             pattern.addEdge(a, b);
     }
 
+    pattern.freezeGraph();
     pattern.setOutputs(cur);
     pattern.validate();
     return pattern;

@@ -42,7 +42,7 @@ struct PendingEdge
 /**
  * Incremental core: feeds J/CZ ops one at a time, emits each settled
  * surviving edge the moment it reaches the front of the pending
- * queue (emitting earlier would reorder Graph::addEdge calls and
+ * queue (emitting earlier would change the graph's edge ids and
  * break byte-identity with the monolithic builder).
  */
 class SettledPrefixBuilder
@@ -84,6 +84,7 @@ class SettledPrefixBuilder
         drain();
         DCMBQC_ASSERT(pending_.empty(),
                       "streaming builder left pending edges");
+        pattern_.freezeGraph();
         pattern_.setOutputs(cur_);
         pattern_.validate();
         return std::move(pattern_);

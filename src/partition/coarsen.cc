@@ -17,9 +17,8 @@ namespace
  * `edge` field) and the run comes out in first-occurrence order.
  * `seen_by` / `slot` detect repeats; they are indexed by coarse id.
  */
-template <class FineGraph>
 void
-contractNode(const FineGraph &g, const std::vector<NodeId> &to_coarse,
+contractNode(const Graph &g, const std::vector<NodeId> &to_coarse,
              NodeId c, NodeId x, NodeId y, NodeId *seen_by,
              std::size_t *slot, std::vector<Adjacency> &out)
 {
@@ -36,10 +35,10 @@ contractNode(const FineGraph &g, const std::vector<NodeId> &to_coarse,
         }
     };
 
-    const auto &ax = g.adjacency(x);
+    const Graph::AdjacencyRange ax = g.adjacency(x);
     auto i = ax.begin();
     if (y != x) {
-        const auto &ay = g.adjacency(y);
+        const Graph::AdjacencyRange ay = g.adjacency(y);
         auto j = ay.begin();
         while (i != ax.end() && j != ay.end())
             visit(i->edge < j->edge ? *i++ : *j++);
@@ -54,26 +53,8 @@ contractNode(const FineGraph &g, const std::vector<NodeId> &to_coarse,
 
 void
 Contractor::contract(const Graph &g, const std::vector<NodeId> &match,
-                     std::vector<NodeId> &to_coarse, CoarseGraph &coarse,
+                     std::vector<NodeId> &to_coarse, Graph &coarse,
                      ThreadPool *pool)
-{
-    run(g, match, to_coarse, coarse, pool);
-}
-
-void
-Contractor::contract(const CoarseGraph &g,
-                     const std::vector<NodeId> &match,
-                     std::vector<NodeId> &to_coarse, CoarseGraph &coarse,
-                     ThreadPool *pool)
-{
-    run(g, match, to_coarse, coarse, pool);
-}
-
-template <class FineGraph>
-void
-Contractor::run(const FineGraph &g, const std::vector<NodeId> &match,
-                std::vector<NodeId> &to_coarse, CoarseGraph &coarse,
-                ThreadPool *pool)
 {
     // A pair is named when its lower member comes up.
     const NodeId n = g.numNodes();

@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
-#include "core/compile_path.hh"
 #include "graph/matching.hh"
 #include "partition/coarsen.hh"
 
@@ -39,7 +38,7 @@ struct PartitionWorkspace::State
     const Graph *graph = nullptr;
 
     /** levels[i] is hierarchy level i + 1 (level 0 is the graph). */
-    std::vector<CoarseGraph> levels;
+    std::vector<Graph> levels;
     /** toCoarse[i] maps level i's nodes to level i + 1. */
     std::vector<std::vector<NodeId>> toCoarse;
     Contractor contractor;
@@ -84,9 +83,8 @@ namespace
 
 using State = PartitionWorkspace::State;
 
-template <class AnyGraph>
 void
-computePartWeights(const AnyGraph &g, const std::vector<int> &assign,
+computePartWeights(const Graph &g, const std::vector<int> &assign,
                    int k, std::vector<long long> &part_weight)
 {
     part_weight.assign(k, 0);
@@ -109,9 +107,8 @@ cutWeightOf(const Graph &g, const std::vector<int> &assign)
  * `assign`. Grows k regions by BFS from random seeds, then assigns
  * leftovers to the lightest part among their neighbors.
  */
-template <class AnyGraph>
 void
-initialPartition(const AnyGraph &g, int k, long long max_part_weight,
+initialPartition(const Graph &g, int k, long long max_part_weight,
                  Rng &rng, State &ws)
 {
     const NodeId n = g.numNodes();
@@ -191,9 +188,8 @@ initialPartition(const AnyGraph &g, int k, long long max_part_weight,
  * Targets only ever get heavier while one part is drained, so every
  * other cached choice stays exact.
  */
-template <class AnyGraph>
 void
-rebalancePass(const AnyGraph &g, std::vector<int> &assign, int k,
+rebalancePass(const Graph &g, std::vector<int> &assign, int k,
               long long max_part_weight, State &ws)
 {
     std::vector<long long> &part_weight = ws.partWeight;
@@ -277,9 +273,8 @@ rebalancePass(const AnyGraph &g, std::vector<int> &assign, int k,
  * and every neighbor of a moved node stay flagged. Skipping the
  * rest leaves every decision exactly as a full sweep makes it.
  */
-template <class AnyGraph>
 long long
-refineBoundary(const AnyGraph &g, std::vector<int> &assign, int k,
+refineBoundary(const Graph &g, std::vector<int> &assign, int k,
                long long max_part_weight, std::vector<long long> &part_weight,
                std::vector<long long> &conn, std::vector<char> &recheck)
 {
@@ -291,7 +286,7 @@ refineBoundary(const AnyGraph &g, std::vector<int> &assign, int k,
             continue;
         recheck[u] = 0;
         const int from = assign[u];
-        const auto &adjacency = g.adjacency(u);
+        const Graph::AdjacencyRange adjacency = g.adjacency(u);
         // Most nodes are interior: find that out before tallying.
         bool boundary = false;
         for (const auto &adj : adjacency) {
@@ -342,9 +337,8 @@ refineBoundary(const AnyGraph &g, std::vector<int> &assign, int k,
 }
 
 /** Up to `passes` refinement sweeps, stopping at one that gains 0. */
-template <class AnyGraph>
 void
-refineSweeps(const AnyGraph &g, std::vector<int> &assign, int k,
+refineSweeps(const Graph &g, std::vector<int> &assign, int k,
              long long max_part_weight, int passes, State &ws)
 {
     ws.recheck.assign(g.numNodes(), 1);
@@ -358,23 +352,19 @@ refineSweeps(const AnyGraph &g, std::vector<int> &assign, int k,
  * Rebalance, then refine until a sweep gains nothing. The rebalance
  * leaves ws.partWeight exact for the sweeps.
  */
-template <class AnyGraph>
 void
-balanceAndRefine(const AnyGraph &g, std::vector<int> &assign, int k,
+balanceAndRefine(const Graph &g, std::vector<int> &assign, int k,
                  long long max_part_weight, int passes, State &ws)
 {
     rebalancePass(g, assign, k, max_part_weight, ws);
     refineSweeps(g, assign, k, max_part_weight, passes, ws);
 }
 
-/** Run f on hierarchy level `level` (0 = the input graph). */
-template <class F>
-decltype(auto)
-atLevel(const Graph &g, State &ws, std::size_t level, F &&f)
+/** Hierarchy level i (0 = the input graph). */
+const Graph &
+level(const Graph &g, const State &ws, std::size_t i)
 {
-    if (level == 0)
-        return f(g);
-    return f(ws.levels[level - 1]);
+    return i == 0 ? g : ws.levels[i - 1];
 }
 
 /**
@@ -382,17 +372,16 @@ atLevel(const Graph &g, State &ws, std::size_t level, F &&f)
  * first need; null when the sequential loop applies.
  */
 ThreadPool *
-contractionPool(State &ws, std::size_t fine_edges, int num_workers)
+contractionPool(State &ws, std::size_t fine_edges)
 {
-    if (fine_edges < kParallelContractMinEdges ||
-        !compilePathConfig().parallelPartition)
+    if (fine_edges < kParallelContractMinEdges)
         return nullptr;
-    const int workers =
-        num_workers > 0 ? num_workers : ThreadPool::defaultNumThreads();
-    if (workers <= 1)
-        return nullptr;
-    if (!ws.pool || ws.pool->numThreads() != workers)
+    if (!ws.pool) {
+        const int workers = ThreadPool::defaultNumThreads();
+        if (workers <= 1)
+            return nullptr;
         ws.pool = std::make_unique<ThreadPool>(workers);
+    }
     return ws.pool.get();
 }
 
@@ -518,6 +507,7 @@ Partitioning
 MultilevelPartitioner::partition(const Graph &g,
                                  PartitionWorkspace &workspace) const
 {
+    DCMBQC_ASSERT(g.frozen(), "partition: graph is not frozen");
     const int k = config_.k;
     if (k == 1 || g.numNodes() == 0)
         return Partitioning(g.numNodes(), std::max(k, 1));
@@ -549,45 +539,39 @@ MultilevelPartitioner::partition(const Graph &g,
         static_cast<NodeId>(config_.coarsenTargetPerPart) * k, 2 * k);
     std::size_t depth = 0;
     for (;;) {
-        const NodeId fine_nodes = atLevel(
-            g, ws, depth, [](const auto &fine) { return fine.numNodes(); });
+        const NodeId fine_nodes = level(g, ws, depth).numNodes();
         if (fine_nodes <= coarsen_target)
             break;
         if (ws.levels.size() <= depth) {
             ws.levels.emplace_back();
             ws.toCoarse.emplace_back();
         }
-        CoarseGraph &coarse = ws.levels[depth];
-        atLevel(g, ws, depth, [&](const auto &fine) {
-            heavyEdgeMatching(fine, rng, ws.match, ws.visitOrder);
-            ws.contractor.contract(
-                fine, ws.match, ws.toCoarse[depth], coarse,
-                contractionPool(ws, fine.edges().size(),
-                                config_.numWorkers));
-        });
+        // Taken after the emplace, which may move the levels.
+        const Graph &fine = level(g, ws, depth);
+        Graph &coarse = ws.levels[depth];
+        heavyEdgeMatching(fine, rng, ws.match, ws.visitOrder);
+        ws.contractor.contract(fine, ws.match, ws.toCoarse[depth], coarse,
+                               contractionPool(ws, fine.edges().size()));
         if (coarse.numNodes() >= static_cast<NodeId>(0.95 * fine_nodes))
             break; // matching stagnated (e.g., star graphs)
         ++depth;
     }
 
     // --- Initial partition on the coarsest graph -------------------------
-    atLevel(g, ws, depth, [&](const auto &coarsest) {
-        initialPartition(coarsest, k, max_part_weight, rng, ws);
-        balanceAndRefine(coarsest, ws.assign, k, max_part_weight,
-                         config_.refinePasses, ws);
-    });
+    const Graph &coarsest = level(g, ws, depth);
+    initialPartition(coarsest, k, max_part_weight, rng, ws);
+    balanceAndRefine(coarsest, ws.assign, k, max_part_weight,
+                     config_.refinePasses, ws);
 
     // --- Uncoarsening with refinement -------------------------------------
-    for (std::size_t level = depth; level-- > 0;) {
-        const std::vector<NodeId> &to_coarse = ws.toCoarse[level];
+    for (std::size_t l = depth; l-- > 0;) {
+        const std::vector<NodeId> &to_coarse = ws.toCoarse[l];
         ws.fineAssign.resize(to_coarse.size());
         for (std::size_t u = 0; u < to_coarse.size(); ++u)
             ws.fineAssign[u] = ws.assign[to_coarse[u]];
         std::swap(ws.assign, ws.fineAssign);
-        atLevel(g, ws, level, [&](const auto &fine) {
-            balanceAndRefine(fine, ws.assign, k, max_part_weight,
-                             config_.refinePasses, ws);
-        });
+        balanceAndRefine(level(g, ws, l), ws.assign, k, max_part_weight,
+                         config_.refinePasses, ws);
     }
 
     // --- Sequential-slab candidate ----------------------------------------

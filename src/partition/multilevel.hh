@@ -50,28 +50,15 @@ struct MultilevelConfig
 
     /** RNG seed for matching and initial-partition randomization. */
     std::uint64_t seed = 1;
-
-    /**
-     * Workers for the parallel coarsening contraction (<= 0 uses the
-     * hardware default). Every coarse node's contraction depends on
-     * the fine graph alone, so the partition is byte-identical for
-     * every worker count; the knob only trades wall clock. Ignored
-     * when `compilePathConfig().parallelPartition` is off.
-     *
-     * The pool is created lazily: only when a level about to be
-     * contracted has at least kParallelContractMinEdges (2^17) edges
-     * and more than one worker is asked for. It then lives in the
-     * partition workspace, so the probes of one adaptivePartition
-     * call share it; smaller graphs never start a thread.
-     */
-    int numWorkers = 0;
 };
 
 /**
  * Buffers and graph-derived data that repeated partitions of one
- * graph share: the coarse levels (flat CSR arrays whose capacity
- * carries over), matching and refinement scratch, the contraction
- * pool once one is needed, and the sequential-slab candidate, which
+ * graph share: the coarse levels (graphs whose CSR arrays keep their
+ * capacity), matching and refinement scratch, the contraction pool
+ * once a level reaches kParallelContractMinEdges (2^17) edges (sized
+ * by ThreadPool::defaultNumThreads(); the partition is byte-identical
+ * for every worker count), and the sequential-slab candidate, which
  * does not depend on the seed and is memoized per (k, part-weight
  * cap, refine passes).
  *
@@ -91,9 +78,10 @@ class PartitionWorkspace
 
     /**
      * Point the workspace at g, dropping everything derived from the
-     * previously bound graph; buffers keep their capacity. Call it
-     * again after modifying g, or when a different graph now lives
-     * at g's address. g must outlive its use through the workspace.
+     * previously bound graph; buffers keep their capacity. Frozen
+     * graphs never change, so call it again only when a different
+     * graph now lives at g's address. g must outlive its use through
+     * the workspace.
      */
     void bind(const Graph &g);
 

@@ -484,6 +484,7 @@ decodeGraph(BinaryReader &reader)
         }
         graph.addEdge(u, v, weight);
     }
+    graph.freeze();
     return graph;
 }
 
@@ -552,7 +553,7 @@ encodePattern(BinaryWriter &writer, const Pattern &pattern)
 Pattern
 decodePattern(BinaryReader &reader)
 {
-    const Graph graph = decodeGraph(reader);
+    Graph graph = decodeGraph(reader);
     const std::vector<double> angles = reader.readF64Vector();
     const std::vector<std::int32_t> flow = reader.readI32Vector();
     const std::vector<std::int32_t> wires = reader.readI32Vector();
@@ -613,13 +614,17 @@ decodePattern(BinaryReader &reader)
                         ")");
             return {};
         }
+        if (graph.nodeWeight(u) != 1) {
+            reader.fail("pattern node " + std::to_string(u) +
+                        " has weight " +
+                        std::to_string(graph.nodeWeight(u)) +
+                        "; pattern nodes weigh 1");
+            return {};
+        }
     }
 
-    Pattern pattern;
-    for (NodeId u = 0; u < n; ++u)
-        pattern.addNode(wires[u]);
-    for (const Edge &e : graph.edges())
-        pattern.mutableGraph().addEdge(e.u, e.v, e.weight);
+    Pattern pattern(std::move(graph),
+                    std::vector<QubitId>(wires.begin(), wires.end()));
     for (NodeId u : order)
         pattern.setMeasurement(u, angles[u], flow[u]);
     pattern.setOutputs(

@@ -46,9 +46,10 @@ struct SimKernelConfig
     bool packedTableau;
 
     /**
-     * Backends share the deterministic shot prefix through the
-     * fork-on-first-measurement tree; false re-runs the full
-     * pattern per shot (the pre-optimization behavior).
+     * The stabilizer and schedule backends share the deterministic
+     * shot prefix through the fork-on-first-measurement tree; false
+     * re-runs the full pattern per shot (the pre-optimization
+     * behavior). The statevector backend always replays per shot.
      */
     bool shotTree;
 

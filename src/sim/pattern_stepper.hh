@@ -1,8 +1,9 @@
 /**
  * @file
  * Incremental state-vector pattern replay: sim/pattern_runner.cc
- * restructured as a stepper for the shot prefix tree
- * (exec/shot_tree.hh). Every measurement — pattern node or output
+ * restructured as a stepper (the concept of exec/shot_tree.hh); the
+ * statevector backend samples every shot through it with
+ * `runShotNaive`. Every measurement — pattern node or output
  * wire — is a decision, because the dense simulator draws one
  * uniform per measurement whether or not the outcome is effectively
  * deterministic; the deterministic work between decisions (lazy

@@ -25,6 +25,7 @@ pathGraph(int n)
     Graph g(n);
     for (NodeId u = 0; u + 1 < n; ++u)
         g.addEdge(u, u + 1);
+    g.freeze();
     return g;
 }
 
@@ -40,6 +41,7 @@ gridGraph(int rows, int cols)
             if (c + 1 < cols)
                 g.addEdge(id(r, c), id(r, c + 1));
         }
+    g.freeze();
     return g;
 }
 
@@ -48,6 +50,9 @@ TEST(Graph, AddNodesAndEdges)
     Graph g(3);
     EXPECT_EQ(g.numNodes(), 3);
     const auto e = g.addEdge(0, 1, 5);
+    EXPECT_FALSE(g.frozen());
+    g.freeze();
+    EXPECT_TRUE(g.frozen());
     EXPECT_EQ(g.numEdges(), 1);
     EXPECT_EQ(g.edge(e).weight, 5);
     EXPECT_TRUE(g.hasEdge(0, 1));
@@ -57,17 +62,86 @@ TEST(Graph, AddNodesAndEdges)
     EXPECT_EQ(g.degree(2), 0);
 }
 
-TEST(Graph, MergeParallelEdges)
+/**
+ * The layout an append loop over the edge list gives: each edge is
+ * pushed onto both endpoints' lists in edge-id order.
+ */
+std::vector<std::vector<Adjacency>>
+appendedAdjacency(NodeId n, const std::vector<Edge> &edges)
 {
-    Graph g(2);
-    const auto e1 = g.addEdge(0, 1, 2, true);
-    const auto e2 = g.addEdge(0, 1, 3, true);
-    EXPECT_EQ(e1, e2);
-    EXPECT_EQ(g.numEdges(), 1);
-    EXPECT_EQ(g.edge(e1).weight, 5);
-    EXPECT_EQ(g.weightedDegree(0), 5);
-    // Mirror adjacency must also carry the merged weight.
-    EXPECT_EQ(g.adjacency(1)[0].weight, 5);
+    std::vector<std::vector<Adjacency>> adjacency(n);
+    for (EdgeId e = 0; e < static_cast<EdgeId>(edges.size()); ++e) {
+        adjacency[edges[e].u].push_back({edges[e].v, e, edges[e].weight});
+        adjacency[edges[e].v].push_back({edges[e].u, e, edges[e].weight});
+    }
+    return adjacency;
+}
+
+void
+expectAdjacency(const Graph &g,
+                const std::vector<std::vector<Adjacency>> &want)
+{
+    ASSERT_EQ(static_cast<std::size_t>(g.numNodes()), want.size());
+    for (NodeId u = 0; u < g.numNodes(); ++u) {
+        ASSERT_EQ(g.adjacency(u).size(), want[u].size()) << "node " << u;
+        EXPECT_EQ(g.degree(u), static_cast<int>(want[u].size()));
+        for (std::size_t i = 0; i < want[u].size(); ++i) {
+            EXPECT_EQ(g.adjacency(u)[i].neighbor, want[u][i].neighbor);
+            EXPECT_EQ(g.adjacency(u)[i].edge, want[u][i].edge);
+            EXPECT_EQ(g.adjacency(u)[i].weight, want[u][i].weight);
+        }
+    }
+}
+
+TEST(Graph, FrozenMultigraphKeepsEdgeOrderAndParallelEdges)
+{
+    // Weighted multigraph with repeated pairs in both orientations.
+    Graph g;
+    Rng rng(11);
+    for (int u = 0; u < 12; ++u)
+        g.addNode(1 + u % 4);
+    std::vector<Edge> edges;
+    for (int i = 0; i < 60; ++i) {
+        const auto u = static_cast<NodeId>(rng.uniformInt(12));
+        const auto v = static_cast<NodeId>(rng.uniformInt(12));
+        if (u == v)
+            continue;
+        const int w = 1 + static_cast<int>(rng.uniformInt(5));
+        EXPECT_EQ(g.addEdge(u, v, w), static_cast<EdgeId>(edges.size()));
+        edges.push_back({u, v, w});
+    }
+    g.addEdge(0, 1, 2);
+    g.addEdge(1, 0, 3);
+    edges.push_back({0, 1, 2});
+    edges.push_back({1, 0, 3});
+    g.freeze();
+
+    // Parallel edges stay distinct, each run is in edge-id order.
+    ASSERT_EQ(g.numEdges(), static_cast<EdgeId>(edges.size()));
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        EXPECT_EQ(g.edge(e).u, edges[e].u);
+        EXPECT_EQ(g.edge(e).v, edges[e].v);
+        EXPECT_EQ(g.edge(e).weight, edges[e].weight);
+    }
+    expectAdjacency(g, appendedAdjacency(12, edges));
+    for (NodeId u = 0; u < g.numNodes(); ++u)
+        for (std::size_t i = 1; i < g.adjacency(u).size(); ++i)
+            EXPECT_LT(g.adjacency(u)[i - 1].edge, g.adjacency(u)[i].edge);
+
+    // The induced subgraph keeps the surviving edges in order.
+    const std::vector<NodeId> members = {7, 1, 0, 4, 9, 2};
+    std::vector<NodeId> to_sub;
+    const Graph sub = g.inducedSubgraph(members, &to_sub);
+    ASSERT_TRUE(sub.frozen());
+    std::vector<Edge> kept;
+    for (const Edge &e : edges)
+        if (to_sub[e.u] != invalidNode && to_sub[e.v] != invalidNode)
+            kept.push_back({to_sub[e.u], to_sub[e.v], e.weight});
+    ASSERT_EQ(sub.numEdges(), static_cast<EdgeId>(kept.size()));
+    for (std::size_t i = 0; i < members.size(); ++i)
+        EXPECT_EQ(sub.nodeWeight(static_cast<NodeId>(i)),
+                  g.nodeWeight(members[i]));
+    expectAdjacency(sub, appendedAdjacency(6, kept));
 }
 
 TEST(Graph, WeightsAndTotals)
@@ -76,15 +150,18 @@ TEST(Graph, WeightsAndTotals)
     g.setNodeWeight(0, 4);
     g.addEdge(0, 1, 2);
     g.addEdge(1, 2, 3);
+    g.freeze();
     EXPECT_EQ(g.totalNodeWeight(), 4 + 1 + 1);
-    EXPECT_EQ(g.totalEdgeWeight(), 5);
-    EXPECT_EQ(g.maxDegree(), 2);
+    EXPECT_EQ(g.degree(1), 2);
 }
 
 TEST(Graph, InducedSubgraph)
 {
-    Graph g = pathGraph(5);
+    Graph g(5);
+    for (NodeId u = 0; u + 1 < 5; ++u)
+        g.addEdge(u, u + 1);
     g.setNodeWeight(3, 7);
+    g.freeze();
     std::vector<NodeId> map;
     const Graph sub = g.inducedSubgraph({1, 2, 3}, &map);
     EXPECT_EQ(sub.numNodes(), 3);
@@ -148,6 +225,7 @@ TEST(Algorithms, BfsUnreachable)
 {
     Graph g(4);
     g.addEdge(0, 1);
+    g.freeze();
     const auto dist = bfsDistances(g, 0);
     EXPECT_EQ(dist[2], -1);
     EXPECT_EQ(dist[3], -1);
@@ -159,6 +237,7 @@ TEST(Algorithms, ConnectedComponents)
     g.addEdge(0, 1);
     g.addEdge(1, 2);
     g.addEdge(3, 4);
+    g.freeze();
     std::vector<int> comp;
     EXPECT_EQ(connectedComponents(g, comp), 3);
     EXPECT_EQ(comp[0], comp[2]);
@@ -224,6 +303,7 @@ TEST(Matching, PrefersHeavyEdges)
     Graph g(3);
     g.addEdge(0, 1, 1);
     g.addEdge(1, 2, 100);
+    g.freeze();
     Rng rng(5);
     std::vector<NodeId> match;
     std::vector<NodeId> order;
@@ -236,6 +316,7 @@ TEST(Matching, IsolatedNodesSelfMatched)
 {
     Graph g(3);
     g.addEdge(0, 1);
+    g.freeze();
     Rng rng(7);
     std::vector<NodeId> match;
     std::vector<NodeId> order;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 
 #include "common/rng.hh"
 #include "core/lifetime.hh"
@@ -23,6 +24,7 @@ TEST(Lifetime, FuseeSpanOnly)
     // Two nodes fused across 5 layers, no dependencies.
     Graph g(2);
     g.addEdge(0, 1);
+    g.freeze();
     Digraph deps(2);
     const auto r = computeLifetime(g, deps, {0, 5});
     EXPECT_EQ(r.tauFusee, 5);
@@ -79,6 +81,7 @@ TEST(Lifetime, PaperAlgorithmPart1IsMaxAbsSpan)
     g.addEdge(0, 1);
     g.addEdge(1, 2);
     g.addEdge(2, 3);
+    g.freeze();
     Digraph deps(4);
     const auto r = computeLifetime(g, deps, {7, 3, 9, 9});
     EXPECT_EQ(r.tauFusee, 6); // |3 - 9|
@@ -90,6 +93,7 @@ TEST(Lifetime, RemoveesContributeNothing)
     // the metric only charges what is passed in.
     Graph g(3);
     g.addEdge(0, 1);
+    g.freeze();
     Digraph deps(3);
     const auto with_far_removee = computeLifetime(g, deps, {0, 1, 999});
     EXPECT_EQ(with_far_removee.tauFusee, 1);
@@ -103,6 +107,7 @@ TEST(Lifetime, BruteForceCrossCheck)
     for (int trial = 0; trial < 20; ++trial) {
         const int n = 30;
         Graph g(n);
+        std::set<std::pair<NodeId, NodeId>> seen;
         Digraph deps(n);
         std::vector<TimeSlot> time(n);
         for (int u = 0; u < n; ++u)
@@ -112,11 +117,13 @@ TEST(Lifetime, BruteForceCrossCheck)
             NodeId v = static_cast<NodeId>(rng.uniformInt(n));
             if (u == v)
                 continue;
-            if (!g.hasEdge(u, v))
+            if (seen.insert(std::minmax(u, v)).second)
                 g.addEdge(u, v);
             if (u < v && rng.bernoulli(0.5))
                 deps.addArc(u, v); // u<v keeps it acyclic
         }
+
+        g.freeze();
 
         // Reference: recursive MTime.
         std::vector<int> memo(n, -1);

@@ -29,6 +29,7 @@ TEST(LossAnalysis, FuseeStorageChargedToEarlierPhoton)
 {
     Graph g(2);
     g.addEdge(0, 1);
+    g.freeze();
     Digraph deps(2);
     const LossModel model{0.2, 10.0};
     const auto a = analyzeLoss(g, deps, {3, 10}, model);
@@ -67,6 +68,7 @@ TEST(LossAnalysis, SuccessProbabilityIsSurvivalProduct)
 {
     Graph g(2);
     g.addEdge(0, 1);
+    g.freeze();
     Digraph deps(2);
     const LossModel model{0.2, 100.0};
     const auto a = analyzeLoss(g, deps, {0, 500}, model);
@@ -99,6 +101,7 @@ TEST(LossAnalysis, MonteCarloMatchesAnalytic)
     Graph g(3);
     g.addEdge(0, 1);
     g.addEdge(1, 2);
+    g.freeze();
     Digraph deps(3);
     const LossModel model{0.2, 100.0};
     const auto a = analyzeLoss(g, deps, {0, 200, 400}, model);

@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 
 #include "api/api.hh"
 #include "cache/cache_key.hh"
@@ -280,6 +282,7 @@ TEST(NoiseAnalysis, CutEdgesChargeConnectorStorageToBothEndpoints)
     // generation gap to the earlier photon.
     Graph g(2);
     g.addEdge(0, 1);
+    g.freeze();
     Digraph deps(2);
     const std::vector<TimeSlot> node_time = {3, 10};
     const std::vector<int> assignment = {0, 1};
@@ -522,17 +525,19 @@ TEST(NoiseCompile, NoiseAwarePartitionNeverSurvivesWorse)
         // Random sparse graph: community structure weak enough that
         // modularity and cut-survival disagree on some seeds.
         Rng edges(seed * 7919);
+        std::set<std::pair<NodeId, NodeId>> seen;
         int added = 0;
         while (added < 64) {
             const NodeId u =
                 static_cast<NodeId>(edges.uniformInt(32));
             const NodeId v =
                 static_cast<NodeId>(edges.uniformInt(32));
-            if (u == v || g.hasEdge(u, v))
+            if (u == v || !seen.insert(std::minmax(u, v)).second)
                 continue;
             g.addEdge(u, v);
             ++added;
         }
+        g.freeze();
         AdaptiveConfig config;
         config.k = 4;
         config.seed = seed;
@@ -565,15 +570,17 @@ TEST(NoiseCompile, BlindModeIsBitIdenticalToTheLegacyPartitioner)
 {
     Graph g(24);
     Rng edges(42);
+    std::set<std::pair<NodeId, NodeId>> seen;
     int added = 0;
     while (added < 48) {
         const NodeId u = static_cast<NodeId>(edges.uniformInt(24));
         const NodeId v = static_cast<NodeId>(edges.uniformInt(24));
-        if (u == v || g.hasEdge(u, v))
+        if (u == v || !seen.insert(std::minmax(u, v)).second)
             continue;
         g.addEdge(u, v);
         ++added;
     }
+    g.freeze();
     AdaptiveConfig config;
     config.k = 3;
     config.seed = 7;

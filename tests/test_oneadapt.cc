@@ -90,6 +90,7 @@ TEST(OneAdapt, RefreshCountFormula)
     // ceil(25/10) - 1 = 2 refreshes.
     Graph g(2);
     g.addEdge(0, 1);
+    g.freeze();
     Digraph deps(2);
     LocalSchedule schedule;
     schedule.grid.size = 5;

@@ -376,6 +376,24 @@ TEST(SerializeReject, PatternDependencyTamperDetected)
     EXPECT_FALSE(decodePatternArtifact(resealed).ok());
 }
 
+TEST(SerializeReject, PatternNodeWeightOtherThanOne)
+{
+    // The payload opens with the graph: node count, then one i32
+    // weight per node. Pattern nodes always weigh 1, and a decoded
+    // pattern keeps its graph as decoded, so any other weight must
+    // be rejected rather than reach the partitioner.
+    const Pattern pattern = buildPattern(makeQft(4));
+    BinaryWriter writer;
+    encodePattern(writer, pattern);
+    std::vector<std::uint8_t> payload = writer.take();
+    payload[4] = 0;
+    auto decoded = decodePatternArtifact(
+        sealArtifact(ArtifactKind::Pattern, payload));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_NE(decoded.status().message().find("weight"),
+              std::string::npos);
+}
+
 TEST(SerializeReject, CircuitGateOnRepeatedQubits)
 {
     // Re-sealed payloads that Circuit::append would assert on: a

@@ -159,6 +159,7 @@ TEST(SimKernels, PackedGraphStateStabilizersMatchScalar)
     g.addEdge(4, 5);
     g.addEdge(5, 0);
     g.addEdge(0, 3);
+    g.freeze();
     StabilizerSim packed(6);
     ScalarStabilizerSim scalar(6);
     packed.prepareGraphState(g);
@@ -325,8 +326,7 @@ TEST(SimKernels, ShotTreeMatchesNaivePerShotSampling)
     const ExecProgram program = compiledCliffordProgram(21);
     const SimKernelConfig naive{true, false, SvKernel::Auto, true};
     const SimKernelConfig tree{true, true, SvKernel::Auto, true};
-    for (const char *backend :
-         {"statevector", "stabilizer", "schedule"}) {
+    for (const char *backend : {"stabilizer", "schedule"}) {
         SCOPED_TRACE(backend);
         const ExecResult a =
             runBackend(program, backend, 200, 17, 2, naive);
@@ -346,8 +346,7 @@ TEST(SimKernels, ShotTreeIsThreadCountInvariant)
     // result of any shot, so 1, 3, and 8 workers must agree exactly.
     const ExecProgram program = compiledCliffordProgram(22);
     const SimKernelConfig tree{true, true, SvKernel::Auto, true};
-    for (const char *backend :
-         {"statevector", "stabilizer", "schedule"}) {
+    for (const char *backend : {"stabilizer", "schedule"}) {
         SCOPED_TRACE(backend);
         const ExecResult serial =
             runBackend(program, backend, 128, 5, 1, tree);

@@ -152,6 +152,7 @@ TEST(SingleQpu, EmptyGraphCompilesToNothing)
 TEST(SingleQpu, SingleNodeGraph)
 {
     Graph g(1);
+    g.freeze();
     Digraph deps(1);
     SingleQpuConfig config;
     config.grid.size = 3;

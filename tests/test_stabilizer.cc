@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "common/rng.hh"
 #include "graph/graph.hh"
 #include "sim/stabilizer.hh"
@@ -120,6 +123,7 @@ ringGraph(int n)
     Graph g(n);
     for (NodeId u = 0; u < n; ++u)
         g.addEdge(u, (u + 1) % n);
+    g.freeze();
     return g;
 }
 
@@ -139,12 +143,14 @@ TEST(Stabilizer, GraphStateStabilizersRandomLarge)
     Rng rng(5);
     const int n = 64;
     Graph g(n);
+    std::set<std::pair<NodeId, NodeId>> seen;
     for (int e = 0; e < 150; ++e) {
         NodeId u = static_cast<NodeId>(rng.uniformInt(n));
         NodeId v = static_cast<NodeId>(rng.uniformInt(n));
-        if (u != v && !g.hasEdge(u, v))
+        if (u != v && seen.insert(std::minmax(u, v)).second)
             g.addEdge(u, v);
     }
+    g.freeze();
     StabilizerSim sim(n);
     sim.prepareGraphState(g);
     for (NodeId i = 0; i < n; ++i)

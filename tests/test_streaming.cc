@@ -4,7 +4,7 @@
  * builder and segment-emitting list scheduler against their
  * monolithic oracles (bit-identical artifacts for every window
  * size), the deterministic parallel kernels (coarsening contraction,
- * Louvain move rounds, per-QPU local compiles) across worker counts,
+ * per-QPU local compiles) across worker counts,
  * stream-entry requests through the driver and the cache-key
  * aliasing between a stream and its materialized circuit, window
  * validation through the Status channel, and mid-stream cancellation
@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "api/api.hh"
@@ -36,7 +38,6 @@
 #include "mbqc/pattern_builder.hh"
 #include "mbqc/streaming_builder.hh"
 #include "partition/coarsen.hh"
-#include "partition/louvain.hh"
 #include "serialize/codecs.hh"
 
 namespace dcmbqc
@@ -57,7 +58,6 @@ useStreamingPaths()
     config.streamingFrontEnd = true;
     config.streamingScheduler = true;
     config.parallelLocal = true;
-    config.parallelPartition = true;
 }
 
 void
@@ -67,7 +67,6 @@ useReferencePaths()
     config.streamingFrontEnd = false;
     config.streamingScheduler = false;
     config.parallelLocal = false;
-    config.parallelPartition = false;
 }
 
 const std::vector<std::uint32_t> &
@@ -98,17 +97,19 @@ randomGraph(int n, int edges, std::uint64_t seed)
 {
     Graph g(n);
     Rng rng(seed);
+    std::set<std::pair<NodeId, NodeId>> seen;
     int added = 0;
     while (added < edges) {
         const NodeId u = static_cast<NodeId>(
             rng.uniformInt(static_cast<std::uint64_t>(n)));
         const NodeId v = static_cast<NodeId>(
             rng.uniformInt(static_cast<std::uint64_t>(n)));
-        if (u == v || g.hasEdge(u, v))
+        if (u == v || !seen.insert(std::minmax(u, v)).second)
             continue;
         g.addEdge(u, v);
         ++added;
     }
+    g.freeze();
     return g;
 }
 
@@ -485,7 +486,7 @@ TEST(StreamingValidation, NullOrEmptyStreamsAreRejected)
 
 /** Every array of a coarse level, flattened for exact comparison. */
 std::vector<long long>
-coarseLayout(const CoarseGraph &c)
+coarseLayout(const Graph &c)
 {
     std::vector<long long> out{c.numNodes(), c.numEdges()};
     for (NodeId u = 0; u < c.numNodes(); ++u) {
@@ -512,7 +513,7 @@ TEST(ParallelKernels, ContractionMatchesSequentialForAnyWorkerCount)
 
     Contractor contractor;
     std::vector<NodeId> to_coarse_seq;
-    CoarseGraph sequential;
+    Graph sequential;
     contractor.contract(g, match, to_coarse_seq, sequential, nullptr);
     const auto oracle = coarseLayout(sequential);
 
@@ -520,35 +521,10 @@ TEST(ParallelKernels, ContractionMatchesSequentialForAnyWorkerCount)
         SCOPED_TRACE("workers=" + std::to_string(workers));
         ThreadPool pool(workers);
         std::vector<NodeId> to_coarse;
-        CoarseGraph parallel;
+        Graph parallel;
         contractor.contract(g, match, to_coarse, parallel, &pool);
         EXPECT_EQ(coarseLayout(parallel), oracle);
         EXPECT_EQ(to_coarse, to_coarse_seq);
-    }
-}
-
-TEST(ParallelKernels, LouvainIsWorkerCountInvariant)
-{
-    PathGuard guard;
-    compilePathConfig().parallelPartition = true;
-
-    const std::vector<Graph> corpus = {
-        randomGraph(120, 600, 8),
-        randomGraph(200, 900, 21),
-        buildPattern(transpileToJCz(makeQft(8))).graph(),
-    };
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        SCOPED_TRACE("graph=" + std::to_string(i));
-        LouvainConfig base;
-        base.numWorkers = 1;
-        const auto oracle = louvain(corpus[i], base).assignment();
-        for (int workers : {2, 4, 8}) {
-            SCOPED_TRACE("workers=" + std::to_string(workers));
-            LouvainConfig config;
-            config.numWorkers = workers;
-            EXPECT_EQ(louvain(corpus[i], config).assignment(),
-                      oracle);
-        }
     }
 }
 
