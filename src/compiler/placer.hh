@@ -31,6 +31,8 @@ namespace dcmbqc
 class LayerGrid
 {
   public:
+    enum class CellState : std::uint8_t { Free, Compute, Routing };
+
     LayerGrid(const GridSpec &spec);
 
     int size() const { return size_; }
@@ -41,6 +43,12 @@ class LayerGrid
 
     /** Cells consumed (fully or partially) by routing. */
     int routingCells() const { return routingCells_; }
+
+    /** State of one cell (row-major index). */
+    CellState cellState(int cell) const { return state_[cell]; }
+
+    /** Pass-throughs a routing cell has left (0 for other states). */
+    int routingUsesLeft(int cell) const { return routingLeft_[cell]; }
 
     /** Reset to an empty layer. */
     void clear();
@@ -104,8 +112,6 @@ class LayerGrid
                              const std::vector<int> &to);
 
   private:
-    enum class CellState : std::uint8_t { Free, Compute, Routing };
-
     int size_;
     int fusionArms_;
     int routingUsesPerCell_;

@@ -2,7 +2,8 @@
  * @file
  * Tests for the partitioning substrate: cut/imbalance metrics,
  * modularity, the multilevel k-way partitioner, matching contraction
- * and Algorithm 2 (adaptive graph partitioning).
+ * and Algorithm 2 (adaptive graph partitioning), plus pins of the
+ * placed artifacts downstream of the pinned partitions.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <set>
 #include <string>
 
+#include "api/api.hh"
 #include "circuit/generators.hh"
+#include "circuit/huge_generators.hh"
 #include "common/rng.hh"
 #include "graph/matching.hh"
 #include "mbqc/pattern_builder.hh"
@@ -22,6 +25,8 @@
 #include "partition/modularity.hh"
 #include "partition/multilevel.hh"
 #include "partition/partitioning.hh"
+#include "serialize/binary.hh"
+#include "serialize/codecs.hh"
 
 namespace dcmbqc
 {
@@ -370,6 +375,95 @@ TEST(AdaptivePins, ReusedWorkspaceMatchesFreshCalls)
                       partitioner.partition(*g).assignment());
         }
     }
+}
+
+// --- Placement pins --------------------------------------------------------
+
+/**
+ * A compile at the CLI's defaults (grid gridSizeForQubits, kmax 4,
+ * Star5, BDIR on, seed 1) reduced to FNV-1a hashes of what it placed:
+ * the local schedule artifact of every QPU, then the distributed
+ * schedule artifact. The baseline has one local schedule only.
+ */
+std::vector<std::uint64_t>
+placementHashes(const CompileRequest &request, int qpus, int qubits,
+                int window = 0)
+{
+    CompileOptions options;
+    options.numQpus(qpus)
+        .kmax(4)
+        .gridSize(gridSizeForQubits(qubits))
+        .resourceState(ResourceStateType::Star5)
+        .useBdir(true)
+        .seed(1);
+    if (window > 0)
+        options.window(window);
+    const CompilerDriver driver(options);
+    const auto hash = [](const std::vector<std::uint8_t> &bytes) {
+        return fnv1a64(bytes.data(), bytes.size());
+    };
+    std::vector<std::uint64_t> hashes;
+    if (qpus == 1) {
+        auto report = driver.compileBaseline(request);
+        EXPECT_TRUE(report.ok()) << report.status().toString();
+        if (report.ok())
+            hashes.push_back(hash(encodeLocalScheduleArtifact(
+                report->baselineResult().schedule)));
+        return hashes;
+    }
+    auto report = driver.compile(request);
+    EXPECT_TRUE(report.ok()) << report.status().toString();
+    if (!report.ok())
+        return hashes;
+    for (const LocalSchedule &local : report->result().localSchedules)
+        hashes.push_back(hash(encodeLocalScheduleArtifact(local)));
+    hashes.push_back(hash(encodeScheduleArtifact(report->result().schedule)));
+    return hashes;
+}
+
+std::vector<std::uint64_t>
+tableTwoPlacement(const std::string &family, int qubits, int qpus)
+{
+    return placementHashes(
+        CompileRequest::fromCircuit(tableTwoProgram(family, qubits)), qpus,
+        qubits);
+}
+
+TEST(PlacementPins, CliDefaultCompilesAreByteStable)
+{
+    // The partition pins fix what the single-QPU placer is handed;
+    // these fix what it builds. A route that consumes other cells
+    // than before moves later routes and layers, so a change to the
+    // router that keeps every hop count can still move these.
+    using Hashes = std::vector<std::uint64_t>;
+    EXPECT_EQ(tableTwoPlacement("vqe", 81, 8),
+              (Hashes{
+                  0x920238531eef5c94ull, 0x0450a4da0fd1cc9aull,
+                  0x263ef454bf661e51ull, 0x28a01674eb565a7bull,
+                  0x358d68dfdd1bacfcull, 0x9ad977f030f842e5ull,
+                  0x0d69fcb77e97fc6eull, 0xc045d13db38a2a27ull,
+                  0x738ae17524939329ull}));
+    EXPECT_EQ(tableTwoPlacement("vqe", 100, 4),
+              (Hashes{
+                  0xd4e417b89a23584full, 0xca996fa801a09efeull,
+                  0xd91003966de8a69dull, 0x382997758e49abb2ull,
+                  0xd5296bab340ac18dull}));
+    EXPECT_EQ(tableTwoPlacement("qft", 100, 8),
+              (Hashes{
+                  0xbd4c27e3f3dfcd87ull, 0x0fa354c57e7553cbull,
+                  0x6a4bd9cc16572480ull, 0xbc0e5e36b67f1aabull,
+                  0xbb7c8857887ef3cdull, 0xd11f13f1fffb2708ull,
+                  0xd646b3f8ada9f970ull, 0xff6b3d93d49981faull,
+                  0x771e56e83e5560ecull}));
+    EXPECT_EQ(tableTwoPlacement("rca", 81, 1),
+              (Hashes{0xf5a95ea470102c7cull}));
+    EXPECT_EQ(placementHashes(CompileRequest::fromCircuitStream(
+                                  makeGraphStateStream(46, 46)),
+                              4, 46 * 46, 256),
+              (Hashes{
+                  0xdc834fc93a88e300ull, 0x50d50f4045591e35ull,
+                  0x64b408423f3e0711ull, 0x14b511de31190a3dull,
+                  0x6156fcf0c7d01b1full}));
 }
 
 // --- Contraction layout ----------------------------------------------------

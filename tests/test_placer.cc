@@ -39,9 +39,11 @@ makeSpec(int size, ResourceStateType type = ResourceStateType::Star5)
 class ReferenceRouter
 {
   public:
+    using State = LayerGrid::CellState;
+
     ReferenceRouter(int size, int routing_uses)
         : size_(size), routingUses_(routing_uses),
-          state_(static_cast<std::size_t>(size) * size, Free),
+          state_(static_cast<std::size_t>(size) * size, State::Free),
           routingLeft_(state_.size(), 0)
     {
     }
@@ -49,14 +51,24 @@ class ReferenceRouter
     int computeCells() const { return computeCells_; }
     int routingCells() const { return routingCells_; }
 
+    /** Index of the first cell whose state or uses differ, or -1. */
+    int firstMismatch(const LayerGrid &grid) const
+    {
+        for (int cell = 0; cell < static_cast<int>(state_.size()); ++cell)
+            if (grid.cellState(cell) != state_[cell] ||
+                grid.routingUsesLeft(cell) != routingLeft_[cell])
+                return cell;
+        return -1;
+    }
+
     /** Record a placement; every cell must be free in the mirror. */
     bool place(const std::vector<int> &cells)
     {
         for (int cell : cells) {
-            if (state_[cell] != Free)
+            if (state_[cell] != State::Free)
                 return false;
             touch(cell);
-            state_[cell] = Compute;
+            state_[cell] = State::Compute;
         }
         computeCells_ += static_cast<int>(cells.size());
         return true;
@@ -64,7 +76,7 @@ class ReferenceRouter
 
     void clear()
     {
-        std::fill(state_.begin(), state_.end(), Free);
+        std::fill(state_.begin(), state_.end(), State::Free);
         std::fill(routingLeft_.begin(), routingLeft_.end(), 0);
         computeCells_ = 0;
         routingCells_ = 0;
@@ -111,9 +123,9 @@ class ReferenceRouter
         }
 
         auto passable = [&](int cell) {
-            if (state_[cell] == Free)
+            if (state_[cell] == State::Free)
                 return true;
-            return state_[cell] == Routing && routingLeft_[cell] > 0;
+            return state_[cell] == State::Routing && routingLeft_[cell] > 0;
         };
 
         int found = -1;
@@ -140,8 +152,8 @@ class ReferenceRouter
         int used = 0;
         for (int cell = found; parent[cell] != -1; cell = parent[cell]) {
             touch(cell);
-            if (state_[cell] == Free) {
-                state_[cell] = Routing;
+            if (state_[cell] == State::Free) {
+                state_[cell] = State::Routing;
                 routingLeft_[cell] =
                     static_cast<std::uint8_t>(routingUses_ - 1);
                 ++routingCells_;
@@ -154,8 +166,6 @@ class ReferenceRouter
     }
 
   private:
-    enum State : std::uint8_t { Free, Compute, Routing };
-
     struct UndoEntry
     {
         int cell;
@@ -195,22 +205,41 @@ class ReferenceRouter
     }
 };
 
+/** The grid and the oracle agree on every cell and both counters. */
+void
+expectSameCells(const LayerGrid &grid, const ReferenceRouter &oracle)
+{
+    ASSERT_EQ(oracle.firstMismatch(grid), -1);
+    ASSERT_EQ(grid.computeCells(), oracle.computeCells());
+    ASSERT_EQ(grid.routingCells(), oracle.routingCells());
+}
+
 TEST(LayerGrid, RoutesMatchReferenceBfsOnRandomHistories)
 {
-    // Seeded random layer histories on every grid side 2-41 and all
-    // four resource states: transactions mixing placements of random
-    // degree with routes between super-cells of this and earlier
-    // layers (as deferred fusions do), committed or aborted, with
-    // occasional clear(). The grid must agree with the oracle after
-    // every step.
+    // Seeded random layer histories on every grid side 2-41, the
+    // grids the CLI picks for the 30x30, 40x40 and 46x46 lattices (59,
+    // 79, 91), and all four resource states: transactions mixing
+    // placements of random degree with routes between super-cells of
+    // this and earlier layers, committed or aborted. Every clear() is
+    // followed by routes between multi-cell super-cells of the layer
+    // it closed, whose terminals are now free cells, as deferred
+    // fusions route on a fresh layer. After every step the grid must
+    // agree with the oracle on each cell's state and remaining uses.
     std::mt19937 rng(20261017);
+    std::vector<int> sides;
+    for (int side = 2; side <= 41; ++side)
+        sides.push_back(side);
+    for (int side : {59, 79, 91})
+        sides.push_back(side);
     int routes = 0;
     int failures = 0;
-    for (int side = 2; side <= 41; ++side) {
+    int freeTerminalRoutes = 0;
+    for (int side : sides) {
         const ResourceStateType type = allResourceStateTypes[side % 4];
         LayerGrid grid(makeSpec(side, type));
         ReferenceRouter oracle(side, resourceStateInfo(type).routingUses);
         std::vector<std::vector<int>> supers;
+        std::size_t layerStart = 0; // first super-cell of this layer
         const int txns = 20 + side * side / 2;
         for (int t = 0; t < txns; ++t) {
             SCOPED_TRACE("side " + std::to_string(side) + ", txn " +
@@ -220,6 +249,30 @@ TEST(LayerGrid, RoutesMatchReferenceBfsOnRandomHistories)
                 oracle.clear();
                 ASSERT_EQ(grid.computeCells(), 0);
                 ASSERT_EQ(grid.routingCells(), 0);
+                std::vector<std::size_t> multi;
+                for (std::size_t i = layerStart; i < supers.size(); ++i)
+                    if (supers[i].size() > 1)
+                        multi.push_back(i);
+                layerStart = supers.size();
+                for (int d = 0; d < 8 && multi.size() >= 2; ++d) {
+                    const auto &from = supers[multi[rng() % multi.size()]];
+                    const auto &to = supers[multi[rng() % multi.size()]];
+                    grid.beginTxn();
+                    oracle.beginTxn();
+                    const auto expected = oracle.route(from, to);
+                    ASSERT_EQ(grid.route(from, to), expected);
+                    ++routes;
+                    ++freeTerminalRoutes;
+                    if (expected) {
+                        grid.commitTxn();
+                        oracle.commitTxn();
+                    } else {
+                        ++failures;
+                        grid.abortTxn();
+                        oracle.abortTxn();
+                    }
+                    ASSERT_NO_FATAL_FAILURE(expectSameCells(grid, oracle));
+                }
             }
             grid.beginTxn();
             oracle.beginTxn();
@@ -251,8 +304,7 @@ TEST(LayerGrid, RoutesMatchReferenceBfsOnRandomHistories)
                     ++routes;
                     failures += expected ? 0 : 1;
                 }
-                ASSERT_EQ(grid.computeCells(), oracle.computeCells());
-                ASSERT_EQ(grid.routingCells(), oracle.routingCells());
+                ASSERT_NO_FATAL_FAILURE(expectSameCells(grid, oracle));
             }
             if (open) {
                 if (rng() % 5 == 0) {
@@ -263,13 +315,13 @@ TEST(LayerGrid, RoutesMatchReferenceBfsOnRandomHistories)
                     oracle.commitTxn();
                 }
             }
-            ASSERT_EQ(grid.computeCells(), oracle.computeCells());
-            ASSERT_EQ(grid.routingCells(), oracle.routingCells());
+            ASSERT_NO_FATAL_FAILURE(expectSameCells(grid, oracle));
         }
     }
     // The histories must reach both outcomes in bulk.
     EXPECT_GT(routes, 5000);
     EXPECT_GT(failures, routes / 10);
+    EXPECT_GT(freeTerminalRoutes, 500);
 }
 
 TEST(LayerGrid, ComputeCapacityIsEvenRows)
