@@ -52,6 +52,7 @@ std::vector<NodeId>
 placementOrder(const Graph &g, const Digraph &deps,
                PlacementOrder strategy)
 {
+    DCMBQC_ASSERT(g.frozen(), "placementOrder: graph is not frozen");
     DCMBQC_ASSERT(g.numNodes() == deps.numNodes(),
                   "graph / dependency size mismatch");
     switch (strategy) {

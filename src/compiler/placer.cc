@@ -13,7 +13,7 @@ LayerGrid::LayerGrid(const GridSpec &spec)
     : size_(spec.usableSize()),
       state_(static_cast<std::size_t>(size_) * size_, CellState::Free),
       routingLeft_(state_.size(), 0), seen_(state_.size(), 0),
-      parent_(state_.size(), -1), region_(state_.size(), 0)
+      dist_(state_.size(), 0), region_(state_.size(), 0)
 {
     const auto info = resourceStateInfo(spec.resourceState);
     fusionArms_ = info.fusionArms;
@@ -227,18 +227,30 @@ LayerGrid::sealedOff(const std::vector<int> &side, std::uint32_t mark,
     return true;
 }
 
+int
+LayerGrid::towardFrom(int cell) const
+{
+    const int row = cell / size_;
+    const int col = cell % size_;
+    int nearest = std::numeric_limits<int>::max();
+    for (const auto &[r, c] : fromRowCol_)
+        nearest = std::min(nearest, std::abs(row - r) + std::abs(col - c));
+    return nearest - 1;
+}
+
 bool
-LayerGrid::growBackward(int cell, std::uint32_t visited,
-                        std::uint32_t target, std::uint32_t reached)
+LayerGrid::growPartner(int cell, std::uint32_t source, std::uint32_t target,
+                       std::uint32_t labelled, std::uint32_t reached)
 {
     int nbs[4];
     const int count = neighbors(cell, nbs);
     for (int i = 0; i < count; ++i) {
         const int nb = nbs[i];
-        if (seen_[nb] == visited)
+        // A `to` cell is where the A* search starts: meeting it is
+        // meeting the search, whatever the cell's state.
+        if (seen_[nb] == target || seen_[nb] == labelled)
             return true;
-        if (seen_[nb] == target || seen_[nb] == reached ||
-            !passable(nb))
+        if (seen_[nb] == source || seen_[nb] == reached || !passable(nb))
             continue;
         seen_[nb] = reached;
         otherQueue_.push_back(nb);
@@ -271,71 +283,117 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
                     std::abs(a % size_ - b % size_) <= 1)
                 return 0;
 
-    const std::uint32_t visited = takeStamps(3);
-    const std::uint32_t target = visited + 1;
-    const std::uint32_t reached = visited + 2;
+    const std::uint32_t source = takeStamps(4);
+    const std::uint32_t target = source + 1;
+    const std::uint32_t labelled = source + 2;
+    const std::uint32_t reached = source + 3;
     for (int b : to)
         seen_[b] = target;
     for (int a : from)
-        seen_[a] = visited;
-    if (sealedOff(from, visited, to, target) ||
-        sealedOff(to, target, from, visited))
+        seen_[a] = source;
+    if (sealedOff(from, source, to, target) ||
+        sealedOff(to, target, from, source))
         return std::nullopt;
 
-    // BFS from all `from` cells to any `to` cell through cells with
-    // remaining routing capacity; it alone picks the path. Until it
-    // meets a search growing back from `to`, the two advance one
-    // cell at a time, and a side that runs out first has visited a
-    // closed region (with its terminals) that never touched the
-    // other: no path exists, and the memo keeps the region. The
-    // backward marks only tell the BFS that the sides met; it treats
-    // those cells like any unvisited one.
+    // A* from the `to` cells toward `from` through cells with
+    // remaining routing capacity. dist_ counts the intermediate cells
+    // from a cell to `to`, itself included; towardFrom() never
+    // overestimates the rest and changes by at most one per step, so
+    // buckets come out in nondecreasing distance-plus-heuristic and a
+    // cell's label is exact once it is taken out. The first cell
+    // taken out next to `from` fixes the route length D. Expanding
+    // every cell up to D labels every cell of every shortest path.
+    //
+    // Until the search meets a BFS growing from `from`, the two
+    // advance one cell at a time, and a side that runs out first has
+    // visited a closed region (with its terminals) that never touched
+    // the other: no path exists, and the memo keeps the region.
+    fromRowCol_.clear();
+    for (int a : from)
+        fromRowCol_.emplace_back(a / size_, a % size_);
+    int highest = -1;
+    const auto push = [&](int cell, int bucket) {
+        if (bucket >= static_cast<int>(buckets_.size()))
+            buckets_.resize(static_cast<std::size_t>(bucket) + 1);
+        buckets_[bucket].push_back(cell);
+        highest = std::max(highest, bucket);
+    };
     queue_.clear();
-    for (int a : from) {
-        parent_[a] = -1;
-        queue_.push_back(a);
+    int lowest = std::numeric_limits<int>::max();
+    for (int b : to) {
+        dist_[b] = 0;
+        queue_.push_back(b);
+        lowest = std::min(lowest, towardFrom(b));
+        push(b, towardFrom(b));
     }
-    otherQueue_.assign(to.begin(), to.end());
-    std::size_t head = 0;
-    std::size_t back_head = 0;
+    otherQueue_.assign(from.begin(), from.end());
+    std::size_t partner_head = 0;
     bool met = false;
-    int found = -1;
+    int length = -1;
     int nbs[4];
-    while (found < 0) {
-        if (head == queue_.size()) {
-            sealRegion(queue_);
-            return std::nullopt;
-        }
-        const int cell = queue_[head++];
-        const int count = neighbors(cell, nbs);
-        for (int i = 0; i < count; ++i) {
-            const int nb = nbs[i];
-            if (seen_[nb] == visited)
-                continue;
-            if (seen_[nb] == target) {
-                found = cell; // last intermediate before target
-                break;
+    const auto fail = [&](const std::vector<int> &region) {
+        sealRegion(region);
+        for (int f = lowest; f <= highest; ++f)
+            buckets_[f].clear();
+        return std::nullopt;
+    };
+    int f = lowest;
+    for (; length < 0 || f <= length; ++f) {
+        if (f > highest)
+            return fail(queue_);
+        // Pushes may grow buckets_, so index it afresh each time.
+        while (!buckets_[f].empty()) {
+            const int cell = buckets_[f].back();
+            buckets_[f].pop_back();
+            const int toward = towardFrom(cell);
+            const int dist = dist_[cell];
+            if (dist + toward != f)
+                continue; // relabelled nearer since it was queued
+            if (toward == 0 && length < 0)
+                length = dist;
+            const int count = neighbors(cell, nbs);
+            for (int i = 0; i < count; ++i) {
+                const int nb = nbs[i];
+                if (seen_[nb] == labelled) {
+                    if (dist_[nb] > dist + 1) {
+                        dist_[nb] = dist + 1;
+                        push(nb, dist + 1 + towardFrom(nb));
+                    }
+                    continue;
+                }
+                if (seen_[nb] == source || seen_[nb] == target ||
+                    !passable(nb))
+                    continue;
+                met = met || seen_[nb] == reached;
+                seen_[nb] = labelled;
+                dist_[nb] = dist + 1;
+                queue_.push_back(nb);
+                push(nb, dist + 1 + towardFrom(nb));
             }
-            if (!passable(nb))
+            if (met || length >= 0)
                 continue;
-            met = met || seen_[nb] == reached;
-            seen_[nb] = visited;
-            parent_[nb] = cell;
-            queue_.push_back(nb);
+            if (partner_head == otherQueue_.size())
+                return fail(otherQueue_);
+            met = growPartner(otherQueue_[partner_head++], source, target,
+                              labelled, reached);
         }
-        if (met || found >= 0)
-            continue;
-        if (back_head == otherQueue_.size()) {
-            sealRegion(otherQueue_);
-            return std::nullopt;
-        }
-        met = growBackward(otherQueue_[back_head++], visited, target,
-                           reached);
     }
+    for (; f <= highest; ++f)
+        buckets_[f].clear();
 
-    // Walk back from `found` to a source cell, consuming capacity.
-    int used = 0;
-    for (int cell = found; parent_[cell] != -1; cell = parent_[cell]) {
+    // Walk from the first `from` cell with a neighbour D away from
+    // `to`, always stepping to the first neighbour one nearer, and
+    // consume each cell's capacity. A label never undercuts the true
+    // distance, so a neighbour labelled one less than an exact cell
+    // is exact too, and lies on a shortest path.
+    int cell = -1;
+    for (std::size_t i = 0; i < from.size() && cell < 0; ++i) {
+        const int count = neighbors(from[i], nbs);
+        for (int j = 0; j < count && cell < 0; ++j)
+            if (seen_[nbs[j]] == labelled && dist_[nbs[j]] == length)
+                cell = nbs[j];
+    }
+    for (int left = length;; --left) {
         touch(cell);
         if (state_[cell] == CellState::Free) {
             state_[cell] = CellState::Routing;
@@ -346,9 +404,16 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
             DCMBQC_ASSERT(routingLeft_[cell] > 0, "routing overuse");
             --routingLeft_[cell];
         }
-        ++used;
+        if (left == 1)
+            break;
+        const int count = neighbors(cell, nbs);
+        int next = -1;
+        for (int j = 0; j < count && next < 0; ++j)
+            if (seen_[nbs[j]] == labelled && dist_[nbs[j]] == left - 1)
+                next = nbs[j];
+        cell = next;
     }
-    return used;
+    return length;
 }
 
 } // namespace dcmbqc

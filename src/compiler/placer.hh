@@ -11,6 +11,7 @@
 #define DCMBQC_COMPILER_PLACER_HH
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -96,14 +97,23 @@ class LayerGrid
 
     /**
      * Route between two placed super-cells through free / partially
-     * used routing cells (BFS, 4-neighborhood). Adjacent super-cells
-     * route with zero intermediate cells.
+     * used routing cells (4-neighborhood). Adjacent super-cells route
+     * with zero intermediate cells.
      *
-     * The path is the first one a forward BFS from `from` reaches.
+     * The path is a shortest one, and among those the least direction
+     * sequence: first by the index in `from` of its source cell, then
+     * step by step by neighbour order (up, down, left, right). That is
+     * the path a forward BFS from `from` in that order walks back from
+     * the first cell it dequeues next to `to`. It is computed by an A*
+     * search from `to` (Manhattan heuristic to the nearest `from` cell,
+     * bucket queue) that labels every cell of every shortest path with
+     * its exact distance to `to`, then a greedy walk from `from` that
+     * always takes the first neighbour one step nearer.
+     *
      * Unroutable pairs are rejected without searching the whole
      * layer: by a memo of regions proven closed on this layer, or
-     * because the BFS or a search growing back from `to` runs out
-     * before the two meet.
+     * because the A* search or a BFS growing from `from` in lockstep
+     * runs out before the two meet.
      *
      * @return Number of intermediate routing cells consumed, or
      *         nullopt when no path exists.
@@ -139,10 +149,18 @@ class LayerGrid
     // Route scratch, allocated once per grid. A `seen_` entry means
     // something only while it equals a stamp handed out for the
     // running search, so taking fresh stamps clears every mark.
+    // `dist_` holds a cell's distance to `to` while `seen_` marks it
+    // labelled by the A* search.
     std::vector<std::uint32_t> seen_;
-    std::vector<int> parent_;
+    std::vector<int> dist_;
+    /** Cells labelled by the A* search, `to` first. */
     std::vector<int> queue_;
+    /** Cells reached by the BFS from `from`, `from` first. */
     std::vector<int> otherQueue_;
+    /** A* bucket queue: cells by distance-plus-heuristic. */
+    std::vector<std::vector<int>> buckets_;
+    /** Row and column of each `from` cell, for the heuristic. */
+    std::vector<std::pair<int, int>> fromRowCol_;
     std::uint32_t stamp_ = 0;
 
     // Memo of closed regions: sets of passable cells with no passable
@@ -189,9 +207,11 @@ class LayerGrid
     bool sealedOff(const std::vector<int> &side, std::uint32_t mark,
                    const std::vector<int> &other,
                    std::uint32_t other_mark);
-    /** Expand one backward-search cell; true once the sides meet. */
-    bool growBackward(int cell, std::uint32_t visited,
-                      std::uint32_t target, std::uint32_t reached);
+    /** Lower bound on the intermediate cells from `cell` to `from`. */
+    int towardFrom(int cell) const;
+    /** Expand one cell of the BFS from `from`; true once it meets A*. */
+    bool growPartner(int cell, std::uint32_t source, std::uint32_t target,
+                     std::uint32_t labelled, std::uint32_t reached);
     /** Record the passable `cells` as one new closed region. */
     void sealRegion(const std::vector<int> &cells);
 };

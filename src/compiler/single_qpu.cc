@@ -31,6 +31,7 @@ SingleQpuCompiler::SingleQpuCompiler(SingleQpuConfig config)
 LocalSchedule
 SingleQpuCompiler::compile(const Graph &g, const Digraph &deps) const
 {
+    DCMBQC_ASSERT(g.frozen(), "SingleQpuCompiler: graph is not frozen");
     LocalSchedule schedule;
     schedule.grid = config_.grid;
     schedule.nodeLayer.assign(g.numNodes(), invalidLayer);

@@ -2,7 +2,8 @@
  * @file
  * Tests for the single-QPU compiler: every node placed exactly once,
  * layer capacity respected, ordering strategies are dependency
- * consistent, and bigger grids compile to fewer layers.
+ * consistent, bigger grids compile to fewer layers, and an unfrozen
+ * graph is refused.
  */
 
 #include <gtest/gtest.h>
@@ -142,6 +143,7 @@ TEST(SingleQpu, WorksWithAllResourceStates)
 TEST(SingleQpu, EmptyGraphCompilesToNothing)
 {
     Graph g;
+    g.freeze();
     Digraph deps;
     SingleQpuConfig config;
     config.grid.size = 7;
@@ -166,6 +168,20 @@ TEST(SingleQpu, DeterministicOutput)
     const auto a = compileCircuit(makeQft(5), 7);
     const auto b = compileCircuit(makeQft(5), 7);
     EXPECT_EQ(a.schedule.nodeLayer, b.schedule.nodeLayer);
+}
+
+TEST(SingleQpuDeathTest, UnfrozenGraphIsRejected)
+{
+    // Adjacency queries read the CSR arrays freeze() builds; without
+    // them the placer would index an empty offsets array.
+    Graph g(2);
+    g.addEdge(0, 1);
+    Digraph deps(2);
+    SingleQpuConfig config;
+    config.grid.size = 3;
+    EXPECT_DEATH(SingleQpuCompiler(config).compile(g, deps), "not frozen");
+    EXPECT_DEATH(placementOrder(g, deps, PlacementOrder::Creation),
+                 "not frozen");
 }
 
 } // namespace
