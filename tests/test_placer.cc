@@ -324,6 +324,53 @@ TEST(LayerGrid, RoutesMatchReferenceBfsOnRandomHistories)
     EXPECT_GT(freeTerminalRoutes, 500);
 }
 
+TEST(LayerGrid, RouteReachesTargetBesideWalledInSource)
+{
+    // Two routes between an 11-cell node T and a 2-cell node F leave
+    // this 5x5 Star5 layer (x: used-up routing cell, B: a third node):
+    //
+    //     T T T T B
+    //     T T T . B
+    //     T T x x F
+    //     T x x x F
+    //     T . . . .
+    //
+    // F's only open cells are the bottom lane, which touches T at its
+    // far end, so a third route must run along it. A search growing
+    // from F runs out there long before one from T gets round: it has
+    // to count the T cell beside it as a meeting, not as a wall.
+    LayerGrid grid(makeSpec(5));
+    ReferenceRouter oracle(5, resourceStateInfo(ResourceStateType::Star5)
+                                  .routingUses);
+    std::vector<std::vector<int>> nodes;
+    grid.beginTxn();
+    for (int degree : {23, 5, 5}) {
+        auto cells = grid.placeNode(degree);
+        ASSERT_TRUE(cells.has_value());
+        ASSERT_TRUE(oracle.place(*cells));
+        nodes.push_back(*cells);
+    }
+    grid.commitTxn();
+    const auto &t = nodes[0];
+    const auto &f = nodes[2];
+    ASSERT_EQ(t.size(), 11u);
+    ASSERT_EQ(f, (std::vector<int>{2 * 5 + 4, 3 * 5 + 4}));
+    for (const auto &[from, to] : {std::pair(&t, &f), std::pair(&f, &t),
+                                   std::pair(&f, &t)}) {
+        grid.beginTxn();
+        oracle.beginTxn();
+        const auto expected = oracle.route(*from, *to);
+        ASSERT_TRUE(expected.has_value());
+        ASSERT_EQ(grid.route(*from, *to), expected);
+        grid.commitTxn();
+        oracle.commitTxn();
+        ASSERT_NO_FATAL_FAILURE(expectSameCells(grid, oracle));
+    }
+    // The last route took the bottom lane: (4,4) to (4,1).
+    for (int col = 1; col < 5; ++col)
+        EXPECT_EQ(grid.cellState(4 * 5 + col), LayerGrid::CellState::Routing);
+}
+
 TEST(LayerGrid, ComputeCapacityIsEvenRows)
 {
     // Odd rows are routing lanes: a 3x3 grid offers rows 0 and 2.
