@@ -2,13 +2,17 @@
  * @file
  * google-benchmark micro-benchmarks for the framework's core
  * kernels: multilevel partitioning, adaptive partitioning
- * (Algorithm 2), single-QPU placement, required-lifetime evaluation
- * (Algorithm 1), list scheduling and one BDIR neighborhood step.
+ * (Algorithm 2), single-QPU placement (a Table II program, and one
+ * part of the 46x46 lattice whose routing dominates),
+ * required-lifetime evaluation (Algorithm 1), list scheduling and
+ * one BDIR neighborhood step.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.hh"
+#include "circuit/circuit_stream.hh"
+#include "circuit/huge_generators.hh"
 #include "core/bdir.hh"
 #include "core/list_scheduler.hh"
 #include "core/lsp_builder.hh"
@@ -75,17 +79,68 @@ BM_AdaptivePartition(benchmark::State &state, const Prepared &(*program)(),
 BENCHMARK_CAPTURE(BM_AdaptivePartition, qft36_k4, qft36, 4);
 BENCHMARK_CAPTURE(BM_AdaptivePartition, vqe36_k8, vqe36, 8);
 
-void
-BM_SingleQpuPlacement(benchmark::State &state)
+/** A computation graph for one single-QPU compile, and its grid. */
+struct PlacementInput
 {
-    const auto &p = qft36();
-    const SingleQpuCompiler compiler(baselineConfig(p.gridSize));
+    Graph graph;
+    Digraph deps;
+    int gridSize = 0;
+};
+
+const PlacementInput &
+qft36Whole()
+{
+    static const PlacementInput input{qft36().pattern.graph(), qft36().deps,
+                                      qft36().gridSize};
+    return input;
+}
+
+/**
+ * Part 0 of the 46x46 graph state split four ways, on the grid the
+ * CLI picks for the whole lattice (91): the routing-bound PlaceLocal
+ * of `dcmbqc compile --stream-family graphstate --rows 46 --cols 46`,
+ * one QPU on one thread.
+ */
+const PlacementInput &
+lattice46Part()
+{
+    static const PlacementInput input = [] {
+        const Pattern pattern =
+            buildPattern(makeGraphStateStream(46, 46)->materialize());
+        const Digraph deps = realTimeDependencyGraph(pattern);
+        const int grid = gridSizeForQubits(46 * 46);
+        AdaptiveConfig config = paperConfig(4, grid).partition;
+        config.k = 4;
+        const auto members =
+            adaptivePartition(pattern.graph(), config).best.partMembers();
+        PlacementInput part;
+        std::vector<NodeId> to_sub;
+        part.graph = pattern.graph().inducedSubgraph(members[0], &to_sub);
+        part.deps = Digraph(part.graph.numNodes());
+        for (NodeId u : members[0])
+            for (NodeId v : deps.successors(u))
+                if (to_sub[v] != invalidNode)
+                    part.deps.addArc(to_sub[u], to_sub[v]);
+        part.gridSize = grid;
+        return part;
+    }();
+    return input;
+}
+
+void
+BM_SingleQpuPlacement(benchmark::State &state,
+                      const PlacementInput &(*input)())
+{
+    const PlacementInput &in = input();
+    const SingleQpuCompiler compiler(baselineConfig(in.gridSize));
     for (auto _ : state) {
-        auto schedule = compiler.compile(p.pattern.graph(), p.deps);
+        auto schedule = compiler.compile(in.graph, in.deps);
         benchmark::DoNotOptimize(schedule);
     }
 }
-BENCHMARK(BM_SingleQpuPlacement);
+BENCHMARK_CAPTURE(BM_SingleQpuPlacement, qft36, qft36Whole);
+BENCHMARK_CAPTURE(BM_SingleQpuPlacement, lattice46_part, lattice46Part)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_LifetimeEvaluation(benchmark::State &state)

@@ -311,19 +311,29 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
     fromRowCol_.clear();
     for (int a : from)
         fromRowCol_.emplace_back(a / size_, a % size_);
+    // Queued cells never lie more than 2 past the bucket being taken
+    // out, or than the `to` cells' spread of heuristic values, so a
+    // ring of buckets that wide holds them apart.
+    int lowest = std::numeric_limits<int>::max();
     int highest = -1;
-    const auto push = [&](int cell, int bucket) {
-        if (bucket >= static_cast<int>(buckets_.size()))
-            buckets_.resize(static_cast<std::size_t>(bucket) + 1);
-        buckets_[bucket].push_back(cell);
-        highest = std::max(highest, bucket);
+    for (int b : to) {
+        lowest = std::min(lowest, towardFrom(b));
+        highest = std::max(highest, towardFrom(b));
+    }
+    const int ring = highest - lowest + 3;
+    if (static_cast<int>(buckets_.size()) < ring)
+        buckets_.resize(static_cast<std::size_t>(ring));
+    const auto bucket = [&](int f) -> std::vector<int> & {
+        return buckets_[static_cast<std::size_t>(f % ring)];
+    };
+    const auto push = [&](int cell, int f) {
+        bucket(f).push_back(cell);
+        highest = std::max(highest, f);
     };
     queue_.clear();
-    int lowest = std::numeric_limits<int>::max();
     for (int b : to) {
         dist_[b] = 0;
         queue_.push_back(b);
-        lowest = std::min(lowest, towardFrom(b));
         push(b, towardFrom(b));
     }
     otherQueue_.assign(from.begin(), from.end());
@@ -331,20 +341,22 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
     bool met = false;
     int length = -1;
     int nbs[4];
+    int f = lowest;
+    const auto drop_queued = [&] {
+        for (; f <= highest; ++f)
+            bucket(f).clear();
+    };
     const auto fail = [&](const std::vector<int> &region) {
         sealRegion(region);
-        for (int f = lowest; f <= highest; ++f)
-            buckets_[f].clear();
+        drop_queued();
         return std::nullopt;
     };
-    int f = lowest;
     for (; length < 0 || f <= length; ++f) {
         if (f > highest)
             return fail(queue_);
-        // Pushes may grow buckets_, so index it afresh each time.
-        while (!buckets_[f].empty()) {
-            const int cell = buckets_[f].back();
-            buckets_[f].pop_back();
+        while (!bucket(f).empty()) {
+            const int cell = bucket(f).back();
+            bucket(f).pop_back();
             const int toward = towardFrom(cell);
             const int dist = dist_[cell];
             if (dist + toward != f)
@@ -378,8 +390,7 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
                               labelled, reached);
         }
     }
-    for (; f <= highest; ++f)
-        buckets_[f].clear();
+    drop_queued();
 
     // Walk from the first `from` cell with a neighbour D away from
     // `to`, always stepping to the first neighbour one nearer, and
