@@ -238,6 +238,17 @@ LayerGrid::towardFrom(int cell) const
     return nearest - 1;
 }
 
+int
+LayerGrid::labelledNeighbor(int cell, std::uint32_t labelled, int dist) const
+{
+    int nbs[4];
+    const int count = neighbors(cell, nbs);
+    for (int i = 0; i < count; ++i)
+        if (seen_[nbs[i]] == labelled && dist_[nbs[i]] == dist)
+            return nbs[i];
+    return -1;
+}
+
 bool
 LayerGrid::growPartner(int cell, std::uint32_t source, std::uint32_t target,
                        std::uint32_t labelled, std::uint32_t reached)
@@ -398,13 +409,10 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
     // distance, so a neighbour labelled one less than an exact cell
     // is exact too, and lies on a shortest path.
     int cell = -1;
-    for (std::size_t i = 0; i < from.size() && cell < 0; ++i) {
-        const int count = neighbors(from[i], nbs);
-        for (int j = 0; j < count && cell < 0; ++j)
-            if (seen_[nbs[j]] == labelled && dist_[nbs[j]] == length)
-                cell = nbs[j];
-    }
+    for (std::size_t i = 0; i < from.size() && cell < 0; ++i)
+        cell = labelledNeighbor(from[i], labelled, length);
     for (int left = length;; --left) {
+        DCMBQC_ASSERT(cell >= 0, "route walk left the shortest paths");
         touch(cell);
         if (state_[cell] == CellState::Free) {
             state_[cell] = CellState::Routing;
@@ -417,12 +425,7 @@ LayerGrid::route(const std::vector<int> &from, const std::vector<int> &to)
         }
         if (left == 1)
             break;
-        const int count = neighbors(cell, nbs);
-        int next = -1;
-        for (int j = 0; j < count && next < 0; ++j)
-            if (seen_[nbs[j]] == labelled && dist_[nbs[j]] == left - 1)
-                next = nbs[j];
-        cell = next;
+        cell = labelledNeighbor(cell, labelled, left - 1);
     }
     return length;
 }

@@ -209,6 +209,8 @@ class LayerGrid
                    std::uint32_t other_mark);
     /** Lower bound on the intermediate cells from `cell` to `from`. */
     int towardFrom(int cell) const;
+    /** First neighbour of `cell` labelled `dist` by the A* search, or -1. */
+    int labelledNeighbor(int cell, std::uint32_t labelled, int dist) const;
     /** Expand one cell of the BFS from `from`; true once it meets A*. */
     bool growPartner(int cell, std::uint32_t source, std::uint32_t target,
                      std::uint32_t labelled, std::uint32_t reached);
