@@ -28,7 +28,6 @@ defaults()
     const bool fast = !referenceRequested();
     config.streamingFrontEnd = fast;
     config.streamingScheduler = fast;
-    config.parallelLocal = fast;
     return config;
 }
 

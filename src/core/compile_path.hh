@@ -1,22 +1,22 @@
 /**
  * @file
  * Runtime selection of the compile-path implementations. The
- * streaming/parallel paths introduced by the scale rework (windowed
- * pattern build, segment-emitting list scheduler, parallel per-QPU
- * local compiles) are the defaults; the original
- * monolithic/sequential paths stay alive as the
- * differential oracle and are selected either per process via this
- * config, via the DCMBQC_COMPILE_REFERENCE=1 environment variable,
- * or as the build default with -DDCMBQC_COMPILE_REFERENCE=ON (which
- * defines the macro of the same name). Mirrors the
+ * streaming paths introduced by the scale rework (windowed pattern
+ * build, segment-emitting list scheduler) are the defaults; the
+ * original monolithic paths stay alive as the differential oracle
+ * and are selected either per process via this config, via the
+ * DCMBQC_COMPILE_REFERENCE=1 environment variable, or as the build
+ * default with -DDCMBQC_COMPILE_REFERENCE=ON (which defines the
+ * macro of the same name). Mirrors the
  * `ScalarStabilizerSim` / DCMBQC_SIM_REFERENCE pattern of
  * sim/kernel_config.hh.
  *
  * Every pair of paths is bit-identical by contract — same schedules,
- * same partitions, same serialized artifacts for any window size and
- * worker count — which is what tests/test_streaming.cc pins. The
- * config exists so one binary can run both sides of that
- * equivalence.
+ * same partitions, same serialized artifacts for any window size —
+ * which is what tests/test_streaming.cc pins. Worker counts need no
+ * switch: the parallel kernels take a worker count, and one worker
+ * is their sequential oracle. The config exists so one binary can
+ * run both sides of that equivalence.
  */
 
 #ifndef DCMBQC_CORE_COMPILE_PATH_HH
@@ -45,13 +45,6 @@ struct CompilePathConfig
      * runs the original monolithic slot loop (listScheduleReference).
      */
     bool streamingScheduler;
-
-    /**
-     * buildLayerSchedulingProblem compiles the per-QPU subproblems
-     * concurrently on the shared thread pool; false compiles them
-     * sequentially in QPU order.
-     */
-    bool parallelLocal;
 };
 
 /**

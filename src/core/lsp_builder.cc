@@ -4,7 +4,6 @@
 
 #include "common/thread_pool.hh"
 #include "compiler/single_qpu.hh"
-#include "core/compile_path.hh"
 
 namespace dcmbqc
 {
@@ -48,7 +47,7 @@ buildLayerSchedulingProblem(const Graph &g, const Digraph &deps,
     if (num_workers <= 0)
         num_workers = ThreadPool::defaultNumThreads();
     num_workers = std::min(num_workers, num_qpus);
-    if (compilePathConfig().parallelLocal && num_workers > 1) {
+    if (num_workers > 1) {
         ThreadPool pool(num_workers);
         for (QpuId qpu = 0; qpu < num_qpus; ++qpu)
             pool.submit([&, qpu] { compile_one(qpu); });

@@ -39,9 +39,9 @@ namespace dcmbqc
  * @param num_workers Workers for the per-QPU compiles (<= 0 uses
  *        the hardware default). The per-part subproblems are
  *        independent and assembled in QPU order afterwards, so the
- *        result is byte-identical for every worker count; the
- *        sequential path is kept behind
- *        `compilePathConfig().parallelLocal` as the oracle.
+ *        result is byte-identical for every worker count; one
+ *        worker compiles them sequentially in QPU order, the
+ *        oracle.
  */
 LayerSchedulingProblem buildLayerSchedulingProblem(
     const Graph &g, const Digraph &deps, const Partitioning &part,

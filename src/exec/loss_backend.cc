@@ -1,14 +1,8 @@
 #include "exec/loss_backend.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
-#include <optional>
-
 #include "common/rng.hh"
+#include "exec/noise_channel.hh"
 #include "noise/analysis.hh"
-#include "noise/model.hh"
-#include "sim/loss_analysis.hh"
 
 namespace dcmbqc
 {
@@ -72,17 +66,6 @@ schedulePhotonTimes(const DcMbqcResult &result, NodeId num_nodes)
     return times;
 }
 
-Graph
-intraQpuEdges(const Graph &g, const DcMbqcResult &result)
-{
-    Graph local(g.numNodes());
-    for (const auto &e : g.edges())
-        if (result.partition.part(e.u) == result.partition.part(e.v))
-            local.addEdge(e.u, e.v, e.weight);
-    local.freeze();
-    return local;
-}
-
 BackendCapabilities
 MonteCarloLossBackend::capabilities() const
 {
@@ -94,23 +77,16 @@ MonteCarloLossBackend::capabilities() const
 namespace
 {
 
-/** Aggregate per-shot lost-photon counts into the result. */
-void
-finalizeLossResult(ExecResult &result, int shots,
-                   const std::vector<std::int32_t> &lost,
-                   double success_probability)
+/** The default path's one-mechanism model: `model`'s delay line. */
+NoiseConfig
+delayLineConfig(const LossModel &model)
 {
-    for (const std::int32_t lost_here : lost) {
-        if (lost_here > 0) {
-            ++result.lostShots;
-            result.lostPhotons += lost_here;
-        }
-    }
-    result.completedShots = shots - result.lostShots;
-    result.counts["success"] = result.completedShots;
-    result.counts["loss"] = result.lostShots;
-    result.probabilities["success"] = success_probability;
-    result.probabilities["loss"] = 1.0 - success_probability;
+    NoiseConfig config;
+    config.add("delay-line",
+               {{"attenuation_db_per_km", model.attenuationDbPerKm},
+                {"cycle_period_ns", model.cyclePeriodNs},
+                {"speed_fraction", model.speedFraction}});
+    return config;
 }
 
 } // namespace
@@ -142,106 +118,53 @@ MonteCarloLossBackend::run(const ExecProgram &program,
             "mc-loss requires a compiled schedule or a baseline");
     }
 
-    std::optional<NoiseModel> model;
-    if (options.noise) {
-        auto built = buildNoiseModel(*options.noise);
-        if (!built.ok())
-            return built.status();
-        if (!built->vacuous())
-            model = std::move(built.value());
-    }
+    // A noise config charges every configured mechanism: cut edges
+    // add connector insertion loss and tau_remote storage to both
+    // endpoints, plus per-fusion failure. Without one, the delay
+    // line of `options.lossModel` charges intra-QPU storage only
+    // (connector storage is tau_remote, bounded by the scheduler).
+    // The channel is built directly, so a zero-attenuation delay
+    // line still reports its storage and a success probability of 1.
+    auto configured = configuredNoiseModel(options);
+    if (!configured.ok())
+        return configured.status();
+    const bool has_config = configured->has_value();
+    auto model = has_config
+        ? Expected<NoiseModel>(std::move(**configured))
+        : buildNoiseModel(delayLineConfig(options.lossModel));
+    if (!model.ok())
+        return model.status();
+    const NoiseChannel channel(
+        std::move(model.value()),
+        buildExposure(program.graph(), program.deps(), times,
+                      assignment));
 
     ExecResult result;
     result.threads = resolveThreads(options.numThreads, options.shots);
-
-    if (!model) {
-        // Legacy storage-only path, bit-identical to the pre-noise
-        // backend: intra-QPU edges only (connector storage is
-        // tau_remote, bounded by the scheduler), one bernoulli per
-        // photon in node order.
-        const Graph local = program.hasSchedule()
-            ? intraQpuEdges(program.graph(), program.schedule())
-            : program.graph();
-        const LossAnalysis analysis = analyzeLoss(
-            local, program.deps(), times, options.lossModel);
-        result.analyticSuccessProbability =
-            analysis.successProbability;
-        result.maxStorageCycles = analysis.maxStorageCycles;
-        result.meanStorageCycles = analysis.meanStorageCycles;
-
-        std::vector<double> loss_prob(analysis.storageCycles.size());
-        for (std::size_t u = 0; u < loss_prob.size(); ++u)
-            loss_prob[u] = options.lossModel.lossProbability(
-                analysis.storageCycles[u]);
-
-        std::vector<std::int32_t> lost(options.shots, 0);
-        forEachShot(options.shots, result.threads, [&](int shot) {
-            Rng rng(shotSeed(options.seed, shot));
-            std::int32_t lost_here = 0;
-            for (const double p : loss_prob)
-                if (rng.bernoulli(p))
-                    ++lost_here;
-            lost[shot] = lost_here;
-        });
-        finalizeLossResult(result, options.shots, lost,
-                           analysis.successProbability);
-        return result;
-    }
-
-    // Mechanism path: every registered mechanism samples over the
-    // program's exposure. Cut edges charge connector insertion loss
-    // and tau_remote storage to both endpoints — the storage the
-    // legacy path deliberately ignored — plus per-fusion failure.
-    const NoiseExposure exposure = buildExposure(
-        program.graph(), program.deps(), times, assignment);
-    const NoiseAnalysis analysis = analyzeNoise(exposure, *model);
+    const NoiseAnalysis &analysis = channel.analysis();
     result.analyticSuccessProbability = analysis.successProbability;
     result.maxStorageCycles = analysis.maxStorageCycles;
     result.meanStorageCycles = analysis.meanStorageCycles;
-    result.notes.push_back("noise model: " + model->describe());
-
-    // Independent per-site loss excludes correlated mechanisms:
-    // those sample through their own hook below, and their analytic
-    // factor must not be drawn twice.
-    std::vector<double> site_loss(exposure.sites.size());
-    for (std::size_t u = 0; u < exposure.sites.size(); ++u) {
-        double survival = 1.0;
-        for (const auto &mechanism : model->mechanisms())
-            if (!mechanism->correlated())
-                survival *= mechanism->siteSurvival(exposure.sites[u]);
-        site_loss[u] = std::min(1.0, std::max(0.0, 1.0 - survival));
-    }
-    const bool has_correlated = model->hasCorrelated();
+    if (has_config)
+        result.notes.push_back("noise model: " +
+                               channel.description());
 
     std::vector<std::int32_t> lost(options.shots, 0);
     forEachShot(options.shots, result.threads, [&](int shot) {
         Rng rng(shotSeed(options.seed, shot));
-        std::int32_t lost_here = 0;
-        if (!has_correlated) {
-            for (const double p : site_loss)
-                if (rng.bernoulli(p))
-                    ++lost_here;
-        } else {
-            // A burst can hit a photon the independent draws already
-            // lost; the mask keeps the count honest. One buffer per
-            // worker thread — assign() recycles its capacity, so the
-            // shot loop allocates nothing after warm-up.
-            thread_local std::vector<char> mask;
-            mask.assign(site_loss.size(), 0);
-            for (std::size_t u = 0; u < site_loss.size(); ++u)
-                if (rng.bernoulli(site_loss[u]))
-                    mask[u] = 1;
-            model->sampleCorrelated(exposure.sites, rng, mask);
-            lost_here = static_cast<std::int32_t>(
-                std::count(mask.begin(), mask.end(), char(1)));
-        }
-        for (const double p : analysis.edgeLoss)
-            if (rng.bernoulli(p))
-                ++lost_here;
-        lost[shot] = lost_here;
+        lost[shot] = channel.sampleLoss(rng);
     });
-    finalizeLossResult(result, options.shots, lost,
-                       analysis.successProbability);
+    for (const std::int32_t lost_here : lost) {
+        if (lost_here > 0) {
+            ++result.lostShots;
+            result.lostPhotons += lost_here;
+        }
+    }
+    result.completedShots = options.shots - result.lostShots;
+    result.counts["success"] = result.completedShots;
+    result.counts["loss"] = result.lostShots;
+    result.probabilities["success"] = analysis.successProbability;
+    result.probabilities["loss"] = 1.0 - analysis.successProbability;
     return result;
 }
 

@@ -1,13 +1,15 @@
 /**
  * @file
- * Monte-Carlo photon-loss execution backend: samples delay-line loss
- * over a *compiled distributed schedule*. Per-photon storage
- * durations are reconstructed from the schedule (fusee waits on
- * intra-QPU edges + measuree waits from the dependency recurrence,
- * exactly Algorithm 1's accounting), each shot then draws an
- * independent survival trial per photon from photonic/loss_model.
- * Reports the sampled survival rate alongside the analytic success
- * probability so drift between the two flags a modelling bug.
+ * Monte-Carlo photon-loss execution backend: samples loss over a
+ * *compiled distributed schedule* (or a single-QPU baseline).
+ * Per-photon storage durations are reconstructed from the schedule
+ * by `buildExposure` (fusee waits on intra-QPU edges + measuree
+ * waits from the dependency recurrence, exactly Algorithm 1's
+ * accounting), and every shot draws through the `NoiseChannel` the
+ * other backends use: the configured noise model, or by default the
+ * delay line of `ExecOptions::lossModel`. Reports the sampled
+ * survival rate alongside the analytic success probability so drift
+ * between the two flags a modelling bug.
  */
 
 #ifndef DCMBQC_EXEC_LOSS_BACKEND_HH
@@ -44,9 +46,6 @@ class MonteCarloLossBackend : public ExecutionBackend
  */
 Expected<std::vector<TimeSlot>>
 schedulePhotonTimes(const DcMbqcResult &result, NodeId num_nodes);
-
-/** The intra-QPU restriction of `g` under the result's partition. */
-Graph intraQpuEdges(const Graph &g, const DcMbqcResult &result);
 
 } // namespace dcmbqc
 

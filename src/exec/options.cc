@@ -1,5 +1,6 @@
 #include "exec/options.hh"
 
+#include <cmath>
 #include <sstream>
 
 #include "exec/backend.hh"
@@ -38,12 +39,17 @@ ExecOptions::validate() const
         complain("unknown backend '" + backend + "' (expected " +
                  known + ")");
     }
-    if (lossModel.attenuationDbPerKm < 0.0)
-        complain("loss model attenuation must be >= 0 dB/km");
-    if (lossModel.cyclePeriodNs <= 0.0)
-        complain("loss model cycle period must be positive");
-    if (lossModel.speedFraction <= 0.0 ||
-        lossModel.speedFraction > 1.0)
+    // Negated comparisons so NaN fails each check.
+    if (!(std::isfinite(lossModel.attenuationDbPerKm) &&
+          lossModel.attenuationDbPerKm >= 0.0))
+        complain("loss model attenuation must be finite and >= 0 "
+                 "dB/km");
+    if (!(std::isfinite(lossModel.cyclePeriodNs) &&
+          lossModel.cyclePeriodNs > 0.0))
+        complain("loss model cycle period must be finite and "
+                 "positive");
+    if (!(lossModel.speedFraction > 0.0 &&
+          lossModel.speedFraction <= 1.0))
         complain("loss model speed fraction must lie in (0, 1]");
     if (noise) {
         const auto model = buildNoiseModel(*noise);

@@ -58,7 +58,11 @@ struct ExecOptions
      */
     bool applyByproducts = true;
 
-    /** Delay-line loss model used by the Monte-Carlo loss backend. */
+    /**
+     * Delay-line loss model the Monte-Carlo loss backend charges
+     * when no noise config is set. validate() requires finite
+     * fields.
+     */
     LossModel lossModel;
 
     /**

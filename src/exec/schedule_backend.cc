@@ -1,60 +1,17 @@
 #include "exec/schedule_backend.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 #include <queue>
 #include <utility>
 
-#include "common/rng.hh"
 #include "exec/loss_backend.hh"
 #include "exec/noise_channel.hh"
-#include "exec/stabilizer_replay.hh"
+#include "exec/stabilizer_backend.hh"
 #include "mbqc/dependency.hh"
 #include "noise/analysis.hh"
-#include "noise/model.hh"
-#include "sim/kernel_config.hh"
-#include "sim/stabilizer.hh"
-#include "sim/stabilizer_reference.hh"
 
 namespace dcmbqc
 {
-
-namespace
-{
-
-constexpr double pi = 3.14159265358979323846;
-
-/** Angle tolerance for the Clifford (multiple of pi/2) test. */
-constexpr double kAngleEpsilon = 1e-9;
-
-/**
- * Quarter-turn index k with theta ~= k*pi/2 (k in [0,4)), or -1 when
- * theta is not a multiple of pi/2 within tolerance.
- */
-int
-quarterTurns(double theta)
-{
-    const double turns = theta / (pi / 2.0);
-    const long long k = std::llround(turns);
-    if (std::fabs(turns - static_cast<double>(k)) > kAngleEpsilon)
-        return -1;
-    return static_cast<int>(((k % 4) + 4) % 4);
-}
-
-/** One sampled shot: output bits plus their exact probability. */
-struct ScheduleShot
-{
-    std::string bits;
-
-    /** Non-deterministic output measurements in this shot. */
-    int randomOutputs = 0;
-
-    /** Photons lost to the noise model (> 0 voids the shot). */
-    int lostPhotons = 0;
-};
-
-} // namespace
 
 Expected<std::vector<NodeId>>
 scheduleMeasurementOrder(const Pattern &pattern,
@@ -161,19 +118,9 @@ ScheduleBackend::run(const ExecProgram &program,
             " nodes but the program graph has " +
             std::to_string(program.graph().numNodes()));
 
-    std::vector<int> base_turns(n, 0);
-    for (NodeId u = 0; u < n; ++u) {
-        if (pattern.isOutput(u))
-            continue;
-        const int k = quarterTurns(pattern.angle(u));
-        if (k < 0)
-            return Status::failedPrecondition(
-                "schedule backend requires a Clifford pattern: "
-                "node " + std::to_string(u) + " measures at angle " +
-                std::to_string(pattern.angle(u)) +
-                ", not a multiple of pi/2");
-        base_turns[u] = k;
-    }
+    auto base_turns = cliffordQuarterTurns(pattern, "schedule");
+    if (!base_turns.ok())
+        return base_turns.status();
 
     // Per-photon generation cycles from the per-QPU timelines; any
     // payload inconsistency (partition/layer/task-count mismatch)
@@ -205,110 +152,24 @@ ScheduleBackend::run(const ExecProgram &program,
     // edges), not the schedule-free pattern exposure the simulator
     // backends use — so the survival statistics line up with the
     // mc-loss backend and the analytic model on the same schedule.
-    std::optional<NoiseModel> model;
-    std::vector<double> site_loss, edge_loss;
-    double flip_probability = 0.0;
-    bool has_correlated = false;
-    std::vector<NoiseSite> exposure_sites;
-    if (options.noise) {
-        auto built = buildNoiseModel(*options.noise);
-        if (!built.ok())
-            return built.status();
-        if (!built->vacuous()) {
-            const NoiseExposure exposure = buildExposure(
-                program.graph(), program.deps(), *times,
-                &program.schedule().partition.assignment());
-            const NoiseAnalysis analysis =
-                analyzeNoise(exposure, *built);
-            result.analyticSuccessProbability =
-                analysis.successProbability;
-            site_loss = analysis.siteLoss;
-            edge_loss = analysis.edgeLoss;
-            flip_probability = built->flipProbability();
-            has_correlated = built->hasCorrelated();
-            exposure_sites = exposure.sites;
-            model = std::move(built.value());
-        }
-    }
+    const auto channel = NoiseChannel::make(options, [&] {
+        return buildExposure(program.graph(), program.deps(), *times,
+                             &program.schedule().partition.assignment());
+    });
+    if (!channel.ok())
+        return channel.status();
+    if (channel->active())
+        result.analyticSuccessProbability =
+            channel->analysis().successProbability;
 
-    // The schedule-order replay shares its stepper with the
+    // The schedule-order replay shares its shot loop with the
     // stabilizer backend (identical correction bookkeeping; only the
     // *order* differs — exactly the degree of freedom the scheduler
     // exercises, and what the differential harness cross-checks).
-    std::vector<ScheduleShot> shots(options.shots);
-    const auto post = [&](int shot, StabReplayResult r) {
-        shots[shot].bits = std::move(r.bits);
-        shots[shot].randomOutputs = r.randomOutputs;
-        if (!model)
-            return;
-        Rng noise_rng(shotSeed(options.seed, shot) ^
-                      kNoiseStreamSalt);
-        int lost = 0;
-        if (!has_correlated) {
-            for (const double p : site_loss)
-                if (noise_rng.bernoulli(p))
-                    ++lost;
-        } else {
-            // Per-worker buffer; assign() recycles the capacity so
-            // the shot loop allocates nothing after warm-up.
-            thread_local std::vector<char> mask;
-            mask.assign(site_loss.size(), 0);
-            for (std::size_t u = 0; u < site_loss.size(); ++u)
-                if (noise_rng.bernoulli(site_loss[u]))
-                    mask[u] = 1;
-            model->sampleCorrelated(exposure_sites, noise_rng, mask);
-            lost = static_cast<int>(
-                std::count(mask.begin(), mask.end(), char(1)));
-        }
-        for (const double p : edge_loss)
-            if (noise_rng.bernoulli(p))
-                ++lost;
-        shots[shot].lostPhotons = lost;
-        if (lost == 0 && flip_probability > 0.0)
-            for (char &bit : shots[shot].bits)
-                if (noise_rng.bernoulli(flip_probability))
-                    bit = bit == '0' ? '1' : '0';
-    };
-    if (simKernelConfig().packedTableau)
-        sampleStabShots<StabilizerSim>(
-            pattern, *order, base_turns, options.applyByproducts,
-            options.shots, result.threads, options.seed,
-            simKernelConfig().shotTree, post);
-    else
-        sampleStabShots<ScalarStabilizerSim>(
-            pattern, *order, base_turns, options.applyByproducts,
-            options.shots, result.threads, options.seed,
-            simKernelConfig().shotTree, post);
-
-    for (ScheduleShot &shot : shots) {
-        if (shot.lostPhotons > 0) {
-            ++result.lostShots;
-            result.lostPhotons += shot.lostPhotons;
-            continue;
-        }
-        const double p = std::ldexp(1.0, -shot.randomOutputs);
-        if (options.applyByproducts && !model) {
-            // Any correction-consistent interleaving yields the
-            // same corrected distribution, so equal bitstrings must
-            // agree on their chain-rule probability; a mismatch
-            // means the schedule-order replay diverged.
-            const auto it = result.probabilities.find(shot.bits);
-            if (it != result.probabilities.end() &&
-                std::fabs(it->second - p) > 1e-12)
-                return Status::internal(
-                    "inconsistent exact probabilities for outcome " +
-                    shot.bits + ": " + std::to_string(it->second) +
-                    " vs " + std::to_string(p));
-            result.probabilities[shot.bits] = p;
-        }
-        ++result.counts[std::move(shot.bits)];
-    }
-    result.completedShots = options.shots - result.lostShots;
-    if (!options.applyByproducts)
-        result.notes.push_back(
-            "exact probabilities unavailable: byproducts left "
-            "uncorrected, per-shot probabilities are conditional on "
-            "the intermediate outcomes");
+    const Status status = sampleCliffordShots(
+        pattern, *order, *base_turns, options, *channel, result);
+    if (!status.ok())
+        return status;
     result.notes.push_back(
         "replayed compiled schedule: " +
         std::to_string(order->size()) +
@@ -318,10 +179,10 @@ ScheduleBackend::run(const ExecProgram &program,
         std::to_string(program.schedule().schedule.makespan) +
         " slots, max delay-line wait " +
         std::to_string(result.maxStorageCycles) + " cycles)");
-    if (model)
+    if (channel->active())
         result.notes.push_back(
             "schedule-exposure noise applied per shot (" +
-            model->describe() +
+            channel->description() +
             "); exact probabilities omitted under noise");
     return result;
 }

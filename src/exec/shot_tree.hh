@@ -3,9 +3,15 @@
  * Fork-on-first-measurement shot prefix tree. Sampling a shot walks
  * a binary tree whose nodes are the random decisions of the pattern
  * replay; the deterministic evolution between decisions (graph-state
- * prep, entangling, conjugation, deterministic measurements) is
- * computed once per distinct outcome prefix and shared by every shot
- * that follows the same prefix, instead of once per shot.
+ * prep, conjugation, deterministic measurements) is computed once
+ * per distinct outcome prefix and shared by every shot that follows
+ * the same prefix, instead of once per shot.
+ *
+ * The one stepper is `StabReplayStepper` (exec/stabilizer_replay.hh),
+ * behind the stabilizer and schedule backends when
+ * `SimKernelConfig::shotTree` is on. The statevector backend does not
+ * use the tree: dense amplitudes make prefix states too costly to
+ * cache, so it replays every shot with `runPattern`.
  *
  * Determinism contract: a shot's outcome depends only on its own RNG
  * stream and the (deterministic) stepper — node caching changes
@@ -199,9 +205,9 @@ class ShotTree
 };
 
 /**
- * The pre-tree behavior: replay the full shot start to finish with
- * no sharing. Consumes the RNG identically to ShotTree::run — this
- * IS the naive backend shot loop, expressed through the stepper.
+ * Replay the full shot start to finish with no sharing. Consumes the
+ * RNG identically to ShotTree::run; it is the naive shot loop the
+ * tree is checked against, expressed through the stepper.
  */
 template <class Stepper>
 typename Stepper::Result

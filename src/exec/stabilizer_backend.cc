@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/rng.hh"
-#include "exec/noise_channel.hh"
 #include "exec/stabilizer_replay.hh"
 #include "sim/kernel_config.hh"
 #include "sim/stabilizer.hh"
@@ -20,22 +19,8 @@ constexpr double pi = 3.14159265358979323846;
 /** Angle tolerance for the Clifford (multiple of pi/2) test. */
 constexpr double kAngleEpsilon = 1e-9;
 
-/**
- * Quarter-turn index k with theta ~= k*pi/2 (k in [0,4)), or -1 when
- * theta is not a multiple of pi/2 within tolerance.
- */
-int
-quarterTurns(double theta)
-{
-    const double turns = theta / (pi / 2.0);
-    const long long k = std::llround(turns);
-    if (std::fabs(turns - static_cast<double>(k)) > kAngleEpsilon)
-        return -1;
-    return static_cast<int>(((k % 4) + 4) % 4);
-}
-
 /** One sampled shot: the output bits plus their exact probability. */
-struct StabShot
+struct CliffordShot
 {
     std::string bits;
 
@@ -48,71 +33,61 @@ struct StabShot
 
 } // namespace
 
-BackendCapabilities
-StabilizerBackend::capabilities() const
+Expected<std::vector<int>>
+cliffordQuarterTurns(const Pattern &pattern, const char *backend)
 {
-    BackendCapabilities caps;
-    caps.runsPattern = true;
-    caps.cliffordOnly = true;
-    caps.exactProbabilities = true;
-    return caps;
-}
-
-Expected<ExecResult>
-StabilizerBackend::run(const ExecProgram &program,
-                       const ExecOptions &options) const
-{
-    const Pattern &pattern = program.pattern();
-    const NodeId n = pattern.numNodes();
-
-    std::vector<int> base_turns(n, 0);
-    for (NodeId u = 0; u < n; ++u) {
+    std::vector<int> turns(pattern.numNodes(), 0);
+    for (NodeId u = 0; u < pattern.numNodes(); ++u) {
         if (pattern.isOutput(u))
             continue;
-        const int k = quarterTurns(pattern.angle(u));
-        if (k < 0)
+        const double quarters = pattern.angle(u) / (pi / 2.0);
+        const long long k = std::llround(quarters);
+        if (std::fabs(quarters - static_cast<double>(k)) >
+            kAngleEpsilon)
             return Status::failedPrecondition(
-                "stabilizer backend requires a Clifford pattern: "
-                "node " + std::to_string(u) +
-                " measures at angle " +
+                std::string(backend) +
+                " backend requires a Clifford pattern: node " +
+                std::to_string(u) + " measures at angle " +
                 std::to_string(pattern.angle(u)) +
                 ", not a multiple of pi/2");
-        base_turns[u] = k;
+        turns[u] = static_cast<int>(((k % 4) + 4) % 4);
     }
+    return turns;
+}
 
-    auto channel = NoiseChannel::make(options, pattern.numNodes());
-    if (!channel.ok())
-        return channel.status();
-
-    ExecResult result;
-    result.numWires = pattern.numWires();
-    result.threads = resolveThreads(options.numThreads, options.shots);
-
-    std::vector<StabShot> shots(options.shots);
+Status
+sampleCliffordShots(const Pattern &pattern,
+                    const std::vector<NodeId> &order,
+                    const std::vector<int> &base_turns,
+                    const ExecOptions &options,
+                    const NoiseChannel &channel, ExecResult &result)
+{
+    std::vector<CliffordShot> shots(options.shots);
     const auto post = [&](int shot, StabReplayResult r) {
         shots[shot].bits = std::move(r.bits);
         shots[shot].randomOutputs = r.randomOutputs;
-        if (channel->active()) {
-            Rng noise_rng(shotSeed(options.seed, shot) ^
-                          kNoiseStreamSalt);
+        if (channel.active()) {
+            Rng noise_rng(noiseShotSeed(options.seed, shot));
             shots[shot].lostPhotons =
-                channel->sampleLoss(noise_rng);
-            if (shots[shot].lostPhotons == 0)
-                channel->applyFlips(noise_rng, shots[shot].bits);
+                channel.sampleShot(noise_rng, shots[shot].bits);
         }
     };
     if (simKernelConfig().packedTableau)
         sampleStabShots<StabilizerSim>(
-            pattern, pattern.measurementOrder(), base_turns,
-            options.applyByproducts, options.shots, result.threads,
-            options.seed, simKernelConfig().shotTree, post);
+            pattern, order, base_turns, options.applyByproducts,
+            options.shots, result.threads, options.seed,
+            simKernelConfig().shotTree, post);
     else
         sampleStabShots<ScalarStabilizerSim>(
-            pattern, pattern.measurementOrder(), base_turns,
-            options.applyByproducts, options.shots, result.threads,
-            options.seed, simKernelConfig().shotTree, post);
+            pattern, order, base_turns, options.applyByproducts,
+            options.shots, result.threads, options.seed,
+            simKernelConfig().shotTree, post);
 
-    for (StabShot &shot : shots) {
+    // Outcome flips decouple the sampled bitstring from its
+    // chain-rule probability, so the exact map is skipped under a
+    // channel.
+    const bool exact = options.applyByproducts && !channel.active();
+    for (CliffordShot &shot : shots) {
         if (shot.lostPhotons > 0) {
             ++result.lostShots;
             result.lostPhotons += shot.lostPhotons;
@@ -120,14 +95,12 @@ StabilizerBackend::run(const ExecProgram &program,
         }
         // Chain rule over the sequential output measurements: each
         // deterministic one contributes 1, each random one 1/2.
-        // Outcome flips decouple the sampled bitstring from its
-        // chain-rule probability, so the exact map is skipped when
-        // the channel flips bits.
         const double p = std::ldexp(1.0, -shot.randomOutputs);
-        if (options.applyByproducts && !channel->active()) {
-            // The corrected distribution is outcome-independent, so
-            // equal bitstrings must agree on their probability; a
-            // mismatch means the flow corrections are wrong.
+        if (exact) {
+            // The corrected distribution is outcome- and
+            // order-independent, so equal bitstrings must agree on
+            // their probability; a mismatch means the flow
+            // corrections or the replay order are wrong.
             const auto it = result.probabilities.find(shot.bits);
             if (it != result.probabilities.end() &&
                 std::fabs(it->second - p) > 1e-12)
@@ -145,6 +118,41 @@ StabilizerBackend::run(const ExecProgram &program,
             "exact probabilities unavailable: byproducts left "
             "uncorrected, per-shot probabilities are conditional on "
             "the intermediate outcomes");
+    return Status::okStatus();
+}
+
+BackendCapabilities
+StabilizerBackend::capabilities() const
+{
+    BackendCapabilities caps;
+    caps.runsPattern = true;
+    caps.cliffordOnly = true;
+    caps.exactProbabilities = true;
+    return caps;
+}
+
+Expected<ExecResult>
+StabilizerBackend::run(const ExecProgram &program,
+                       const ExecOptions &options) const
+{
+    const Pattern &pattern = program.pattern();
+    auto base_turns = cliffordQuarterTurns(pattern, "stabilizer");
+    if (!base_turns.ok())
+        return base_turns.status();
+
+    const auto channel = NoiseChannel::make(
+        options, [&] { return patternExposure(pattern.numNodes()); });
+    if (!channel.ok())
+        return channel.status();
+
+    ExecResult result;
+    result.numWires = pattern.numWires();
+    result.threads = resolveThreads(options.numThreads, options.shots);
+    const Status status =
+        sampleCliffordShots(pattern, pattern.measurementOrder(),
+                            *base_turns, options, *channel, result);
+    if (!status.ok())
+        return status;
     if (channel->active())
         result.notes.push_back(
             "noise channel applied per shot (" +

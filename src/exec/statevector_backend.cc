@@ -4,9 +4,7 @@
 
 #include "common/rng.hh"
 #include "exec/noise_channel.hh"
-#include "exec/shot_tree.hh"
 #include "sim/pattern_runner.hh"
-#include "sim/pattern_stepper.hh"
 #include "sim/statevector.hh"
 
 namespace dcmbqc
@@ -51,7 +49,8 @@ StatevectorBackend::run(const ExecProgram &program,
     const Pattern &pattern = program.pattern();
     const int wires = pattern.numWires();
 
-    auto channel = NoiseChannel::make(options, pattern.numNodes());
+    const auto channel = NoiseChannel::make(
+        options, [&] { return patternExposure(pattern.numNodes()); });
     if (!channel.ok())
         return channel.status();
 
@@ -65,18 +64,22 @@ StatevectorBackend::run(const ExecProgram &program,
     // stream, so an inactive channel changes nothing.
     std::vector<std::string> outcomes(options.shots);
     std::vector<std::int32_t> lost(options.shots, 0);
-    // Every shot replays the whole pattern: dense amplitudes make a
-    // shared-prefix tree slower than naive replay here.
-    const SvPatternStepper stepper(pattern, options.applyByproducts);
+    // Every shot replays the whole pattern, then measures the output
+    // wires in Z in wire order (removal shifts the next wire to
+    // qubit 0). Dense amplitudes make a shared-prefix tree slower
+    // than this naive replay.
     forEachShot(options.shots, result.threads, [&](int shot) {
         Rng rng(shotSeed(options.seed, shot));
-        std::string bits = runShotNaive(stepper, rng).bits;
+        StateVector state =
+            runPattern(pattern, rng, options.applyByproducts)
+                .outputState;
+        std::string bits(wires, '0');
+        for (int w = 0; w < wires; ++w)
+            if (state.measureZAndRemove(0, rng).outcome)
+                bits[w] = '1';
         if (channel->active()) {
-            Rng noise_rng(shotSeed(options.seed, shot) ^
-                          kNoiseStreamSalt);
-            lost[shot] = channel->sampleLoss(noise_rng);
-            if (lost[shot] == 0)
-                channel->applyFlips(noise_rng, bits);
+            Rng noise_rng(noiseShotSeed(options.seed, shot));
+            lost[shot] = channel->sampleShot(noise_rng, bits);
         }
         outcomes[shot] = std::move(bits);
     });

@@ -40,17 +40,23 @@ buildExposureCallCount()
 }
 
 NoiseExposure
+patternExposure(NodeId num_nodes)
+{
+    NoiseExposure exposure;
+    exposure.sites.assign(num_nodes, NoiseSite{});
+    for (NoiseSite &site : exposure.sites)
+        site.totalSites = static_cast<int>(num_nodes);
+    return exposure;
+}
+
+NoiseExposure
 buildExposure(const Graph &g, const Digraph &deps,
               const std::vector<TimeSlot> &node_time,
               const std::vector<int> *assignment)
 {
     g_exposure_calls.fetch_add(1, std::memory_order_relaxed);
     const NodeId n = g.numNodes();
-    NoiseExposure exposure;
-    exposure.sites.assign(n, NoiseSite{});
-    for (NodeId u = 0; u < n; ++u)
-        exposure.sites[u].totalSites = static_cast<int>(n);
-
+    NoiseExposure exposure = patternExposure(n);
     exposure.edges.reserve(g.edges().size());
     exposure.edgeEndpoints.reserve(g.edges().size());
     for (const auto &e : g.edges()) {
@@ -95,9 +101,16 @@ analyzeNoise(const NoiseExposure &exposure, const NoiseModel &model)
     analysis.siteLoss.reserve(exposure.sites.size());
     long long total_storage = 0;
     for (const NoiseSite &site : exposure.sites) {
-        const double survival = model.siteSurvival(site);
+        double survival = 1.0;
+        double independent = 1.0;
+        for (const auto &mechanism : model.mechanisms()) {
+            const double factor = mechanism->siteSurvival(site);
+            survival *= factor;
+            if (!mechanism->correlated())
+                independent *= factor;
+        }
         analysis.logSurvival += logOrNegInf(survival);
-        analysis.siteLoss.push_back(lossOf(survival));
+        analysis.siteLoss.push_back(lossOf(independent));
         analysis.maxStorageCycles =
             std::max(analysis.maxStorageCycles, site.storageCycles);
         total_storage += site.storageCycles;

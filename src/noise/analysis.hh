@@ -39,9 +39,10 @@ struct NoiseExposure
 /**
  * Exposure of a schedule given per-photon generation times.
  *
- * Intra-QPU storage follows the Algorithm 1 accounting of
- * sim/loss_analysis (fusee waits charged to the earlier photon of
- * each same-part pair, measuree waits from the MTime recurrence).
+ * Intra-QPU storage follows Algorithm 1's accounting (fusee waits
+ * charged to the earlier photon of each same-part pair, measuree
+ * waits from the MTime recurrence); its maximum is the required
+ * photon lifetime.
  * Cut edges mark both endpoints as connector photons and charge the
  * generation gap |t_u - t_v| to the earlier photon's connector-side
  * storage — the sync-layer placement is not retained in a
@@ -55,6 +56,12 @@ NoiseExposure
 buildExposure(const Graph &g, const Digraph &deps,
               const std::vector<TimeSlot> &node_time,
               const std::vector<int> *assignment);
+
+/**
+ * Exposure of a schedule-free pattern run over `num_nodes` photons:
+ * no storage, no connectors, no fusion edges.
+ */
+NoiseExposure patternExposure(NodeId num_nodes);
 
 /**
  * Process-wide count of buildExposure calls. Exposure is a
@@ -74,13 +81,18 @@ struct NoiseAnalysis
     /** exp(logSurvival): probability the whole shot survives. */
     double successProbability = 1.0;
 
-    /** Per-photon loss probability (sampling), site order. */
+    /**
+     * Per-photon independent loss probability (sampling), site
+     * order. Correlated mechanisms are left out: they sample through
+     * their own hook, so a shot must not draw their analytic factor
+     * a second time.
+     */
     std::vector<double> siteLoss;
 
     /** Per-fusion loss probability (sampling), edge order. */
     std::vector<double> edgeLoss;
 
-    /** Max / mean intra-QPU storage (reporting parity w/ legacy). */
+    /** Max / mean intra-QPU storage. */
     int maxStorageCycles = 0;
     double meanStorageCycles = 0.0;
 };

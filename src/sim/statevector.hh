@@ -96,18 +96,6 @@ class StateVector
     MeasureResult measureZAndRemove(int q, Rng &rng,
                                     int forced_outcome = -1);
 
-    /**
-     * Probability of outcome 0 for measureXYAndRemove(q, theta),
-     * without collapsing. Bit-identical to the p0 that call computes
-     * internally (same accumulation order), so `rng.uniform() < p0`
-     * plus a forced measureXYAndRemove reproduces the unforced call
-     * exactly — the shot prefix tree depends on this.
-     */
-    double prob0XY(int q, double theta) const;
-
-    /** Same contract for measureZAndRemove(q). */
-    double prob0Z(int q) const;
-
     /** Squared norm (should stay 1 within rounding). */
     double norm() const;
 

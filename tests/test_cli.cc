@@ -243,6 +243,29 @@ TEST_F(Cli, RunAllSkipsBackendsThatCannotRun)
     EXPECT_EQ(cli("run qft.dcmbqc --backend stabilizer --shots 8"), 1);
 }
 
+TEST_F(Cli, CertainLossRunsAndNonFiniteCycleIsRejected)
+{
+    // At 1 ms per cycle every stored photon is certainly lost: the
+    // run reports it (analytic success 0, every shot lost) instead
+    // of aborting. A NaN cycle period is a Status error.
+    saveCircuit("clifford.dcmbqc", makeRandomCliffordCircuit(6, 30, 3));
+    EXPECT_EQ(cli("run clifford.dcmbqc --qpus 2 --backend mc-loss "
+                  "--shots 32 --cycle-ns 1e6 -o lost.dcmbqc"),
+              0);
+    auto bytes = loadArtifactFile(path("lost.dcmbqc"));
+    ASSERT_TRUE(bytes.ok());
+    auto report = decodeCompileReportArtifact(*bytes);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    ASSERT_EQ(report->executions.size(), 1u);
+    const ExecResult &lost = report->executions[0];
+    EXPECT_EQ(lost.analyticSuccessProbability, 0.0);
+    EXPECT_EQ(lost.completedShots, 0);
+    EXPECT_EQ(lost.lostShots, 32);
+    EXPECT_EQ(cli("run clifford.dcmbqc --qpus 2 --backend mc-loss "
+                  "--shots 32 --cycle-ns nan"),
+              1);
+}
+
 TEST_F(Cli, InspectAndStatsReadEveryGoldenFile)
 {
     int files = 0;

@@ -389,6 +389,37 @@ TEST(Differential, ScheduleBackendLossMatchesAnalyticSurvival)
                 0.03);
 }
 
+TEST(Differential, ScheduleAndLossBackendsAgreeUnderCorrelatedBurst)
+{
+    // Both backends sample one channel over the same schedule
+    // exposure: a burst is drawn by its correlated hook only, never
+    // again through the per-site analytic factor. Every burst hits at
+    // least one photon, so both survival rates sit near 1 - rate.
+    NoiseConfig noise;
+    noise.add("correlated-burst", {{"burst_rate", 0.5}});
+    const CompilerDriver driver(
+        CompileOptions().numQpus(2).gridSize(7).seed(5));
+    const auto request = CompileRequest::fromCircuit(
+        makeRandomCliffordCircuit(5, 16, 99), "sched-burst");
+
+    ExecOptions sched;
+    sched.backend = "schedule";
+    sched.shots = 4000;
+    sched.seed = 23;
+    sched.noise = noise;
+    ExecOptions loss = sched;
+    loss.backend = "mc-loss";
+
+    auto report = driver.compileAndExecute(request, {sched, loss});
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    ASSERT_EQ(report->executions.size(), 2u);
+    const ExecResult &a = report->executions[0];
+    const ExecResult &b = report->executions[1];
+    EXPECT_NEAR(a.survivalRate(), b.survivalRate(), 0.05);
+    EXPECT_NEAR(a.survivalRate(), 0.5, 0.05);
+    EXPECT_NEAR(b.survivalRate(), 0.5, 0.05);
+}
+
 /**
  * The third backend differentially checked against the analytic
  * model: Monte-Carlo loss sampling over a compiled schedule must

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "api/api.hh"
 #include "circuit/generators.hh"
@@ -19,7 +20,6 @@
 #include "noise/analysis.hh"
 #include "serialize/codecs.hh"
 #include "serialize/json.hh"
-#include "sim/loss_analysis.hh"
 
 namespace dcmbqc
 {
@@ -121,6 +121,26 @@ TEST(ExecOptionsValidation, RejectsBadLossModel)
               std::string::npos);
     EXPECT_NE(status.message().find("speed fraction"),
               std::string::npos);
+}
+
+TEST(ExecOptionsValidation, RejectsNonFiniteLossModel)
+{
+    // NaN passes every `x <= 0` style check, so each field needs an
+    // explicit finiteness test.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {nan, inf, -inf}) {
+        SCOPED_TRACE(std::to_string(bad));
+        ExecOptions attenuation;
+        attenuation.lossModel.attenuationDbPerKm = bad;
+        EXPECT_FALSE(attenuation.validate().ok());
+        ExecOptions cycle;
+        cycle.lossModel.cyclePeriodNs = bad;
+        EXPECT_FALSE(cycle.validate().ok());
+        ExecOptions speed;
+        speed.lossModel.speedFraction = bad;
+        EXPECT_FALSE(speed.validate().ok());
+    }
 }
 
 TEST(ExecOptionsValidation, RejectionsFlowThroughExecuteProgram)
@@ -345,22 +365,22 @@ TEST(ExecLossBackend, OncePerRunAnalysisIsHoistedOutOfTheShotLoop)
         ExecProgram::fromRequest(request).withSchedule(
             report->result());
 
-    // Legacy storage-only path: analyzeLoss is the per-run work.
-    ExecOptions legacy;
-    legacy.backend = "mc-loss";
-    legacy.shots = 512;
-    legacy.seed = 6;
-    legacy.lossModel.cyclePeriodNs = 30.0;
-    const long loss_before = analyzeLossCallCount();
-    auto a = executeProgram(program, legacy);
+    // Default path (no noise config): the delay line of
+    // `lossModel` over the schedule-derived exposure, built once.
+    ExecOptions storage_only;
+    storage_only.backend = "mc-loss";
+    storage_only.shots = 512;
+    storage_only.seed = 6;
+    storage_only.lossModel.cyclePeriodNs = 30.0;
+    const long default_before = buildExposureCallCount();
+    auto a = executeProgram(program, storage_only);
     ASSERT_TRUE(a.ok()) << a.status().toString();
-    EXPECT_EQ(analyzeLossCallCount() - loss_before, 1);
+    EXPECT_EQ(buildExposureCallCount() - default_before, 1);
 
-    // Mechanism path: the schedule-derived exposure feeds every
-    // shot's sampling probabilities but must be built once per run.
-    // The correlated mechanism also exercises the per-worker mask
-    // reuse in the shot loop.
-    ExecOptions noisy = legacy;
+    // Mechanism path: the same exposure feeds every shot's sampling
+    // probabilities. The correlated mechanism also exercises the
+    // per-worker mask reuse in the shot loop.
+    ExecOptions noisy = storage_only;
     NoiseConfig noise;
     noise.add("connector", {{"insertion_loss_db", 1.0}})
         .add("correlated-burst",
@@ -372,6 +392,41 @@ TEST(ExecLossBackend, OncePerRunAnalysisIsHoistedOutOfTheShotLoop)
     EXPECT_EQ(buildExposureCallCount() - exposure_before, 1);
     EXPECT_EQ(b->shots, 512);
     EXPECT_EQ(b->completedShots + b->lostShots, b->shots);
+}
+
+TEST(ExecLossBackend, CertainAndZeroLossAreReportedNotAborted)
+{
+    const CompilerDriver driver(
+        CompileOptions().numQpus(2).gridSize(7).seed(13));
+    const auto request = CompileRequest::fromCircuit(
+        makeRandomCliffordCircuit(4, 14, 21), "extremes");
+    auto report = driver.compile(request);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    const ExecProgram program =
+        ExecProgram::fromRequest(request).withSchedule(
+            report->result());
+
+    // 1 s cycles: every stored photon is certainly lost.
+    ExecOptions certain;
+    certain.backend = "mc-loss";
+    certain.shots = 64;
+    certain.lossModel.cyclePeriodNs = 1e9;
+    auto lost = executeProgram(program, certain);
+    ASSERT_TRUE(lost.ok()) << lost.status().toString();
+    EXPECT_EQ(lost->analyticSuccessProbability, 0.0);
+    EXPECT_EQ(lost->lostShots, 64);
+    EXPECT_GT(lost->maxStorageCycles, 0);
+
+    // Lossless fiber: nothing is lost, yet the storage the schedule
+    // charges is still reported.
+    ExecOptions lossless = certain;
+    lossless.lossModel.attenuationDbPerKm = 0.0;
+    auto kept = executeProgram(program, lossless);
+    ASSERT_TRUE(kept.ok()) << kept.status().toString();
+    EXPECT_EQ(kept->analyticSuccessProbability, 1.0);
+    EXPECT_EQ(kept->completedShots, 64);
+    EXPECT_EQ(kept->maxStorageCycles, lost->maxStorageCycles);
+    EXPECT_EQ(kept->meanStorageCycles, lost->meanStorageCycles);
 }
 
 TEST(ExecDriver, CompileAndExecuteRecordsStagesAndStatistics)

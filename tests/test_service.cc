@@ -433,6 +433,32 @@ TEST(ServiceServerApi, NonFiniteConfigGetsErrorReplyAndServerStaysUp)
     EXPECT_TRUE(valid.ok()) << valid.status().toString();
 }
 
+TEST(ServiceServerApi, CertainLossJobGetsReplyAndServerStaysUp)
+{
+    // A job's loss model is caller input too: at 1 ms per cycle
+    // every stored photon is certainly lost, which mc-loss reports
+    // as analytic success 0 instead of aborting the daemon.
+    Harness h(basicConfig("certainloss"));
+    ServiceJob job = qftJob(4, "certain-loss");
+    ExecOptions exec;
+    exec.backend = "mc-loss";
+    exec.shots = 32;
+    exec.lossModel.cyclePeriodNs = 1e6;
+    job.backends = {exec};
+    auto reply = h.client.compile(job);
+    ASSERT_TRUE(reply.ok()) << reply.status().toString();
+    ASSERT_EQ(reply->report.executions.size(), 1u);
+    EXPECT_EQ(reply->report.executions[0].analyticSuccessProbability,
+              0.0);
+    EXPECT_EQ(reply->report.executions[0].completedShots, 0);
+
+    auto stats = h.client.stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().toString();
+    EXPECT_EQ(stats->workers, 2);
+    auto valid = h.client.compile(qftJob(6, "after"));
+    EXPECT_TRUE(valid.ok()) << valid.status().toString();
+}
+
 TEST(ServiceServerApi, DrainStopsAcceptingAndUnlinksSocket)
 {
     ServiceConfig config = basicConfig("drain");

@@ -57,7 +57,6 @@ useStreamingPaths()
     CompilePathConfig &config = compilePathConfig();
     config.streamingFrontEnd = true;
     config.streamingScheduler = true;
-    config.parallelLocal = true;
 }
 
 void
@@ -66,7 +65,6 @@ useReferencePaths()
     CompilePathConfig &config = compilePathConfig();
     config.streamingFrontEnd = false;
     config.streamingScheduler = false;
-    config.parallelLocal = false;
 }
 
 const std::vector<std::uint32_t> &
@@ -530,9 +528,6 @@ TEST(ParallelKernels, ContractionMatchesSequentialForAnyWorkerCount)
 
 TEST(ParallelKernels, LocalCompileIsWorkerCountInvariant)
 {
-    PathGuard guard;
-    compilePathConfig().parallelLocal = true;
-
     const Pattern pattern =
         buildPattern(transpileToJCz(makeQft(8)));
     const Digraph deps = realTimeDependencyGraph(pattern);
@@ -543,19 +538,18 @@ TEST(ParallelKernels, LocalCompileIsWorkerCountInvariant)
         assign[u] = static_cast<int>(u) % 4;
     const Partitioning part(assign, 4);
 
-    // Sequential oracle (flag off), then the parallel path across
+    // Sequential oracle (one worker), then the parallel path across
     // worker counts: identical local schedules and final schedule.
-    compilePathConfig().parallelLocal = false;
     std::vector<LocalSchedule> locals_seq;
     const LayerSchedulingProblem oracle_lsp =
         buildLayerSchedulingProblem(pattern.graph(), deps, part, 4,
                                     config->grid, config->order,
-                                    config->kmax, &locals_seq);
+                                    config->kmax, &locals_seq,
+                                    /*num_workers=*/1);
     const auto oracle =
         encodeScheduleArtifact(listScheduleDefault(oracle_lsp));
 
-    compilePathConfig().parallelLocal = true;
-    for (int workers : {1, 2, 4, 8}) {
+    for (int workers : {2, 4, 8, 0}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
         std::vector<LocalSchedule> locals;
         const LayerSchedulingProblem lsp =
