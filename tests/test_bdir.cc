@@ -7,9 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
+
+#include "api/api.hh"
+#include "api/passes.hh"
+#include "circuit/generators.hh"
 #include "common/rng.hh"
 #include "core/bdir.hh"
 #include "core/list_scheduler.hh"
+#include "photonic/grid.hh"
+#include "serialize/binary.hh"
+#include "serialize/codecs.hh"
 
 namespace dcmbqc
 {
@@ -133,6 +143,140 @@ TEST(Bdir, HandlesInstanceWithoutSyncs)
     const auto initial = listScheduleDefault(lsp);
     const auto out = bdirOptimize(lsp, initial);
     EXPECT_TRUE(validateSchedule(lsp, out));
+}
+
+// --- Pinned Algorithm-3 results ---------------------------------------------
+//
+// bdirOptimize's full output on the Table II programs compiled at the
+// CLI defaults (grid gridSizeForQubits, kmax 4, Star5, seed 1): the
+// FNV-1a hash of the refined schedule artifact and every BdirStats
+// field. The refined schedule is the distributed artifact, so any
+// change to how BDIR scores or generates moves must keep these. The
+// QFT-100@8 hash is also the last entry of its PlacementPins row.
+
+struct BdirRun
+{
+    std::uint64_t hash = 0;
+    BdirStats stats;
+};
+
+Circuit
+tableTwoProgram(const std::string &family, int qubits)
+{
+    if (family == "vqe")
+        return makeVqe(qubits);
+    if (family == "qaoa")
+        return makeQaoaMaxcut(qubits, 7);
+    if (family == "qft")
+        return makeQft(qubits);
+    return makeRippleCarryAdder(qubits);
+}
+
+/** The CLI-default pass pipeline up to and including RefineBdir. */
+BdirRun
+refineAtCliDefaults(const Circuit &circuit, int qpus,
+                    const NoiseModel *noise = nullptr)
+{
+    auto config = CompileOptions()
+                      .numQpus(qpus)
+                      .kmax(4)
+                      .gridSize(gridSizeForQubits(circuit.numQubits()))
+                      .resourceState(ResourceStateType::Star5)
+                      .useBdir(true)
+                      .seed(1)
+                      .build();
+    EXPECT_TRUE(config.ok()) << config.status().toString();
+    PassContext ctx;
+    ctx.config = config.value();
+    ctx.circuit = &circuit;
+    ctx.noise = noise;
+    PassManager manager;
+    manager.add(std::make_unique<TranspilePass>())
+        .add(std::make_unique<PatternBuildPass>())
+        .add(std::make_unique<PartitionPass>())
+        .add(std::make_unique<PlaceLocalPass>())
+        .add(std::make_unique<ScheduleListPass>())
+        .add(std::make_unique<RefineBdirPass>());
+    std::vector<StageReport> stages;
+    const Status status = manager.run(ctx, stages);
+    EXPECT_TRUE(status.ok()) << status.toString();
+    BdirRun run;
+    if (!status.ok())
+        return run;
+    const auto bytes = encodeScheduleArtifact(*ctx.schedule);
+    run.hash = fnv1a64(bytes.data(), bytes.size());
+    run.stats = ctx.bdirStats;
+    return run;
+}
+
+struct BdirPin
+{
+    const char *family;
+    int qubits;
+    int k;
+    std::uint64_t hash;
+    int acceptedMoves;
+    int improvedMoves;
+    int initialLifetime;
+    int finalLifetime;
+};
+
+const BdirPin kBdirPins[] = {
+    {"vqe", 16, 4, 0x04df785554e3ee0eull, 16, 1, 52, 48},
+    {"vqe", 16, 8, 0xbe365407c19e4129ull, 20, 0, 56, 56},
+    {"vqe", 36, 4, 0x53526e994bdb9b80ull, 19, 0, 92, 92},
+    {"vqe", 36, 8, 0xeba6da8599986502ull, 20, 0, 144, 144},
+    {"qaoa", 16, 4, 0x2107c17f0c62f6b0ull, 20, 0, 52, 52},
+    {"qaoa", 16, 8, 0x3457818f439f7825ull, 19, 3, 44, 40},
+    {"qft", 16, 4, 0xebdf0de393dbdd42ull, 13, 0, 100, 100},
+    {"qft", 16, 8, 0x06c7fc975472131bull, 13, 0, 56, 56},
+    {"qft", 36, 4, 0xa69c790f4d8789d7ull, 1, 1, 302, 298},
+    {"qft", 36, 8, 0xc42c8a70157e5ae2ull, 18, 0, 176, 176},
+    {"rca", 16, 4, 0x53e2daff975faaa8ull, 20, 0, 44, 44},
+    {"rca", 16, 8, 0xeb664a04671b29d6ull, 20, 0, 24, 24},
+    {"rca", 36, 4, 0x0aca0397e61cbbd4ull, 20, 0, 52, 52},
+    {"rca", 36, 8, 0x6f1da7639d2534d1ull, 20, 0, 32, 32},
+    {"qft", 81, 8, 0xa65a16cc380188e2ull, 19, 0, 464, 464},
+    {"qft", 100, 8, 0x771e56e83e5560ecull, 1, 1, 553, 526},
+};
+
+void
+expectPinned(const BdirRun &run, const BdirPin &pin)
+{
+    EXPECT_EQ(run.hash, pin.hash);
+    EXPECT_EQ(run.stats.iterations, BdirConfig{}.maxIterations);
+    EXPECT_EQ(run.stats.acceptedMoves, pin.acceptedMoves);
+    EXPECT_EQ(run.stats.improvedMoves, pin.improvedMoves);
+    EXPECT_EQ(run.stats.initialLifetime, pin.initialLifetime);
+    EXPECT_EQ(run.stats.finalLifetime, pin.finalLifetime);
+}
+
+TEST(BdirPins, TableTwoRefinementsAreByteStable)
+{
+    for (const BdirPin &pin : kBdirPins) {
+        const std::string name = std::string(pin.family) + "-" +
+            std::to_string(pin.qubits) + "@" + std::to_string(pin.k);
+        SCOPED_TRACE(name);
+        expectPinned(
+            refineAtCliDefaults(tableTwoProgram(pin.family, pin.qubits),
+                                pin.k),
+            pin);
+    }
+}
+
+TEST(BdirPins, NoiseAwareRefinementIsByteStable)
+{
+    // The scheduleLogSurvival objective: delay-line storage loss plus
+    // a correlated burst, so every move is scored by composite loss.
+    NoiseConfig config;
+    config.add("delay-line", {{"cycle_period_ns", 2.5}})
+        .add("correlated-burst",
+             {{"burst_rate", 0.01}, {"burst_width", 4.0}});
+    auto noise = buildNoiseModel(config);
+    ASSERT_TRUE(noise.ok()) << noise.status().toString();
+    const BdirPin pin = {"qft", 36, 8, 0x9c090a60abf60431ull,
+                         20, 1, 185, 200};
+    expectPinned(refineAtCliDefaults(makeQft(36), 8, &*noise), pin);
 }
 
 } // namespace
