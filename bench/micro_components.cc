@@ -4,8 +4,8 @@
  * kernels: multilevel partitioning, adaptive partitioning
  * (Algorithm 2), single-QPU placement (a Table II program, and one
  * part of the 46x46 lattice whose routing dominates),
- * required-lifetime evaluation (Algorithm 1), list scheduling and
- * one BDIR neighborhood step.
+ * required-lifetime evaluation (Algorithm 1), list scheduling, one
+ * BDIR neighborhood step and a whole BDIR run (Algorithm 3).
  */
 
 #include <benchmark/benchmark.h>
@@ -159,24 +159,24 @@ BM_LifetimeEvaluation(benchmark::State &state)
 }
 BENCHMARK(BM_LifetimeEvaluation);
 
+/** The LSP of a Table II program at the paper configuration. */
+LayerSchedulingProblem
+paperLsp(const Prepared &p, int qpus)
+{
+    const auto config = CompileOptions::fromConfig(
+        paperConfig(qpus, p.gridSize)).build().value();
+    const auto adaptive =
+        adaptivePartition(p.pattern.graph(), config.partition);
+    return buildLayerSchedulingProblem(
+        p.pattern.graph(), p.deps, adaptive.best, config.numQpus,
+        config.grid, config.order, config.kmax);
+}
+
 struct LspFixture
 {
     LayerSchedulingProblem lsp;
 
-    LspFixture() : lsp(buildOnce()) {}
-
-    static LayerSchedulingProblem
-    buildOnce()
-    {
-        const auto &p = qft36();
-        const auto config = CompileOptions::fromConfig(
-            paperConfig(4, p.gridSize)).build().value();
-        const auto adaptive =
-            adaptivePartition(p.pattern.graph(), config.partition);
-        return buildLayerSchedulingProblem(
-            p.pattern.graph(), p.deps, adaptive.best, config.numQpus,
-            config.grid, config.order, config.kmax);
-    }
+    LspFixture() : lsp(paperLsp(qft36(), 4)) {}
 };
 
 void
@@ -201,6 +201,30 @@ BM_BdirNeighborStep(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BdirNeighborStep);
+
+/**
+ * Algorithm 3 end to end on QFT-100 at 8 QPUs and the paper
+ * configuration (49,700 photons). `time_per_move` is the mean cost
+ * of one annealing move: one evaluation and one list-scheduling run.
+ */
+void
+BM_BdirOptimize(benchmark::State &state)
+{
+    static const Prepared qft100 = prepare(Family::Qft, 100);
+    static const LayerSchedulingProblem lsp = paperLsp(qft100, 8);
+    static const Schedule initial = listScheduleDefault(lsp);
+    const BdirConfig config = CompileOptions::fromConfig(
+        paperConfig(8, qft100.gridSize)).build().value().bdir;
+    for (auto _ : state) {
+        auto refined = bdirOptimize(lsp, initial, config);
+        benchmark::DoNotOptimize(refined);
+    }
+    state.counters["time_per_move"] = benchmark::Counter(
+        config.maxIterations,
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BdirOptimize)->Unit(benchmark::kMillisecond);
 
 void
 BM_DriverEndToEnd(benchmark::State &state)

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <utility>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 #include "noise/analysis.hh"
 
@@ -14,170 +13,15 @@ namespace dcmbqc
 namespace
 {
 
-/** The schedule's primary bottleneck. */
-struct Bottleneck
-{
-    enum class Kind { Fusee, Measuree, Remote };
-
-    Kind kind = Kind::Fusee;
-    int cost = 0;
-
-    /** Main task to move (Fusee / Measuree) or -1. */
-    int mainTask = -1;
-
-    /** Sync task to move (Remote) or -1. */
-    int syncTask = -1;
-};
-
-std::vector<TimeSlot>
-nodeTimes(const LayerSchedulingProblem &lsp, const Schedule &schedule)
-{
-    std::vector<TimeSlot> times(lsp.localEdges().numNodes());
-    for (NodeId u = 0; u < lsp.localEdges().numNodes(); ++u)
-        times[u] =
-            schedule.mainStart[lsp.taskOfNode(u)] * lsp.plRatio();
-    return times;
-}
-
-/** FINDBOTTLENECKTASK of Algorithm 3. */
-Bottleneck
-findBottleneckTask(const LayerSchedulingProblem &lsp,
-                   const Schedule &schedule,
-                   const std::vector<TimeSlot> &node_time)
-{
-    Bottleneck best;
-
-    // Fusee spans on intra-QPU edges.
-    for (const auto &e : lsp.localEdges().edges()) {
-        const int span = std::abs(node_time[e.u] - node_time[e.v]);
-        if (span > best.cost) {
-            best.cost = span;
-            best.kind = Bottleneck::Kind::Fusee;
-            // Move the later endpoint's task (toward its partner).
-            const NodeId later =
-                node_time[e.u] >= node_time[e.v] ? e.u : e.v;
-            best.mainTask = lsp.taskOfNode(later);
-            best.syncTask = -1;
-        }
-    }
-
-    // Measuree waits.
-    const auto waits = measureeWaits(lsp.deps(), node_time);
-    for (NodeId u = 0; u < static_cast<NodeId>(waits.size()); ++u) {
-        if (waits[u] > best.cost) {
-            best.cost = waits[u];
-            best.kind = Bottleneck::Kind::Measuree;
-            best.mainTask = lsp.taskOfNode(u);
-            best.syncTask = -1;
-        }
-    }
-
-    // Remote connector storage (physical cycles).
-    for (std::size_t k = 0; k < lsp.syncTasks().size(); ++k) {
-        const auto &sync = lsp.syncTasks()[k];
-        const TimeSlot s = schedule.syncStart[k] * lsp.plRatio();
-        const int d = std::max(
-            std::abs(s - schedule.mainStart[sync.taskA] *
-                             lsp.plRatio()),
-            std::abs(s - schedule.mainStart[sync.taskB] *
-                             lsp.plRatio()));
-        if (d > best.cost) {
-            best.cost = d;
-            best.kind = Bottleneck::Kind::Remote;
-            best.mainTask = -1;
-            best.syncTask = static_cast<int>(k);
-        }
-    }
-    return best;
-}
-
-/**
- * CALCULATEBALANCEPOINT: the cost contribution of moving main task N
- * to slot t, with every other task fixed (piecewise-linear convex in
- * t), minimized by integer ternary search.
- */
-TimeSlot
-balancePointForMain(const LayerSchedulingProblem &lsp,
-                    const Schedule &schedule,
-                    const std::vector<TimeSlot> &node_time, int task)
-{
-    // Anchors: |t - a| terms.
-    std::vector<TimeSlot> abs_anchors;
-    // Lower-pressure terms max(0, a - t): want t late.
-    std::vector<TimeSlot> late_pressure;
-    // Upper-pressure terms max(0, t - a): want t early.
-    std::vector<TimeSlot> early_pressure;
-
-    std::vector<char> in_task(lsp.localEdges().numNodes(), 0);
-    for (NodeId u : lsp.mainTasks()[task].nodes)
-        in_task[u] = 1;
-
-    // MTime of the *current* schedule for measuree terms.
-    std::vector<NodeId> order;
-    lsp.deps().topologicalSort(order);
-    std::vector<TimeSlot> mtime(node_time.size());
-    for (NodeId u : order) {
-        TimeSlot t = node_time[u] + 1;
-        for (NodeId v : lsp.deps().predecessors(u))
-            t = std::max(t, mtime[v] + 1);
-        mtime[u] = t;
-    }
-
-    for (NodeId u : lsp.mainTasks()[task].nodes) {
-        for (const auto &adj : lsp.localEdges().adjacency(u))
-            if (!in_task[adj.neighbor])
-                abs_anchors.push_back(node_time[adj.neighbor]);
-        for (NodeId p : lsp.deps().predecessors(u))
-            if (!in_task[p])
-                late_pressure.push_back(mtime[p] + 1);
-        for (NodeId c : lsp.deps().successors(u))
-            if (!in_task[c])
-                early_pressure.push_back(node_time[c] - 2);
-    }
-    for (int k : lsp.syncsOfTask(task))
-        abs_anchors.push_back(schedule.syncStart[k] * lsp.plRatio());
-
-    auto cost = [&](TimeSlot t) {
-        long long c = 0;
-        for (TimeSlot a : abs_anchors)
-            c = std::max<long long>(c, std::abs(t - a));
-        for (TimeSlot a : late_pressure)
-            c = std::max<long long>(c, a - t);
-        for (TimeSlot a : early_pressure)
-            c = std::max<long long>(c, t - a);
-        return c;
-    };
-
-    // Search in physical cycles, return a scheduling slot.
-    TimeSlot lo = 0;
-    TimeSlot hi = std::max<TimeSlot>(
-        schedule.makespan * lsp.plRatio(), 1);
-    while (hi - lo > 2) {
-        const TimeSlot m1 = lo + (hi - lo) / 3;
-        const TimeSlot m2 = hi - (hi - lo) / 3;
-        if (cost(m1) <= cost(m2))
-            hi = m2;
-        else
-            lo = m1;
-    }
-    TimeSlot best_t = lo;
-    for (TimeSlot t = lo; t <= hi; ++t)
-        if (cost(t) < cost(best_t))
-            best_t = t;
-    return best_t / lsp.plRatio();
-}
-
-} // namespace
-
+/** One find-bottleneck / balance-point / pin-and-reschedule step. */
 Schedule
-generateNeighbor(const LayerSchedulingProblem &lsp,
-                 const Schedule &current)
+neighborOf(const LayerSchedulingProblem &lsp, const Schedule &current,
+           const ScheduleEvaluation &evaluation)
 {
-    const auto node_time = nodeTimes(lsp, current);
-    const auto bottleneck = findBottleneckTask(lsp, current, node_time);
+    const ScheduleBottleneck &bottleneck = evaluation.bottleneck;
 
     TaskPin pin;
-    if (bottleneck.kind == Bottleneck::Kind::Remote) {
+    if (bottleneck.kind == ScheduleBottleneck::Kind::Remote) {
         const auto &sync = lsp.syncTasks()[bottleneck.syncTask];
         pin.isMain = false;
         pin.task = bottleneck.syncTask;
@@ -188,7 +32,7 @@ generateNeighbor(const LayerSchedulingProblem &lsp,
         pin.isMain = true;
         pin.task = bottleneck.mainTask;
         pin.slot =
-            balancePointForMain(lsp, current, node_time, pin.task);
+            balancePointForMain(lsp, current, evaluation, pin.task);
     }
     if (pin.slot < 0)
         pin.slot = 0;
@@ -201,6 +45,82 @@ generateNeighbor(const LayerSchedulingProblem &lsp,
     return listSchedule(lsp, main_priority, sync_priority, pin);
 }
 
+} // namespace
+
+TimeSlot
+balancePointForMain(const LayerSchedulingProblem &lsp,
+                    const Schedule &schedule,
+                    const ScheduleEvaluation &evaluation, int task)
+{
+    // Every term is |t - a|, a - t (wants t late) or t - a (wants t
+    // early), and the cost is their maximum, so only the lowest
+    // anchor of the early-pressure terms and the highest of the
+    // late-pressure ones matter.
+    const int pl = lsp.plRatio();
+    bool has_early = false;
+    bool has_late = false;
+    long long early = 0;
+    long long late = 0;
+    const auto wantEarly = [&](long long a) {
+        early = has_early ? std::min(early, a) : a;
+        has_early = true;
+    };
+    const auto wantLate = [&](long long a) {
+        late = has_late ? std::max(late, a) : a;
+        has_late = true;
+    };
+    const auto anchor = [&](long long a) {
+        wantEarly(a);
+        wantLate(a);
+    };
+
+    for (int other : lsp.neighborTasks(task))
+        anchor(static_cast<long long>(schedule.mainStart[other]) * pl);
+    for (int k : lsp.syncsOfTask(task))
+        anchor(static_cast<long long>(schedule.syncStart[k]) * pl);
+    // MTime of the *current* schedule for measuree terms.
+    for (int p : lsp.externalPredecessors(task))
+        wantLate(evaluation.depMtime[p] + 1LL);
+    for (int other : lsp.successorTasks(task))
+        wantEarly(static_cast<long long>(schedule.mainStart[other]) * pl -
+                  2);
+
+    const auto cost = [&](TimeSlot t) {
+        long long c = 0;
+        if (has_early)
+            c = std::max(c, t - early);
+        if (has_late)
+            c = std::max(c, late - t);
+        return c;
+    };
+
+    // Search in physical cycles, return a scheduling slot.
+    TimeSlot lo = 0;
+    TimeSlot hi = std::max<TimeSlot>(schedule.makespan * pl, 1);
+    while (hi - lo > 2) {
+        const TimeSlot m1 = lo + (hi - lo) / 3;
+        const TimeSlot m2 = hi - (hi - lo) / 3;
+        if (cost(m1) <= cost(m2))
+            hi = m2;
+        else
+            lo = m1;
+    }
+    TimeSlot best_t = lo;
+    for (TimeSlot t = lo; t <= hi; ++t)
+        if (cost(t) < cost(best_t))
+            best_t = t;
+    return best_t / pl;
+}
+
+Schedule
+generateNeighbor(const LayerSchedulingProblem &lsp,
+                 const Schedule &current)
+{
+    ScheduleEvaluation evaluation;
+    evaluateSchedule(lsp, current, evaluation);
+    return neighborOf(lsp, current, evaluation);
+}
+
 Schedule
 bdirOptimize(const LayerSchedulingProblem &lsp, const Schedule &initial,
              const BdirConfig &config, BdirStats *stats,
@@ -211,34 +131,47 @@ bdirOptimize(const LayerSchedulingProblem &lsp, const Schedule &initial,
     // SA cost: tau_photon when noise-blind (the paper's objective);
     // negated composite log survival when a noise model is given, so
     // "lower is better" holds for both.
-    const auto costOf = [&](const Schedule &schedule) -> double {
+    const auto costOf = [&](const Schedule &schedule,
+                            const ScheduleEvaluation &evaluation) {
         if (noise)
-            return -scheduleLogSurvival(lsp, schedule, *noise);
-        return evaluateSchedule(lsp, schedule).tauPhoton();
+            return -scheduleLogSurvival(lsp, schedule, evaluation,
+                                        *noise);
+        return static_cast<double>(evaluation.metrics.tauPhoton());
     };
 
+    // The current schedule's evaluation and cost carry over between
+    // iterations, so each move scores only its new schedule.
     Schedule current = initial;
+    ScheduleEvaluation current_eval;
+    evaluateSchedule(lsp, current, current_eval);
+    double c_current = costOf(current, current_eval);
+    const int initial_lifetime = current_eval.metrics.tauPhoton();
+
     Schedule best = initial;
-    double c_best = costOf(best);
+    double c_best = c_current;
+    int best_lifetime = initial_lifetime;
     double temperature = config.initialTemperature;
 
+    ScheduleEvaluation next_eval;
     int accepted = 0;
     int improved = 0;
     for (int iter = 0; iter < config.maxIterations; ++iter) {
-        Schedule next = generateNeighbor(lsp, current);
-        const double c_current = costOf(current);
-        const double c_new = costOf(next);
+        Schedule next = neighborOf(lsp, current, current_eval);
+        evaluateSchedule(lsp, next, next_eval);
+        const double c_new = costOf(next, next_eval);
         const double delta = c_new - c_current;
 
         if (delta <= 0.0 ||
             rng.uniform() < std::exp(-delta / temperature)) {
             current = std::move(next);
+            std::swap(current_eval, next_eval);
+            c_current = c_new;
             ++accepted;
         }
-        const double c_cur_now = costOf(current);
-        if (c_cur_now < c_best) {
-            c_best = c_cur_now;
+        if (c_current < c_best) {
+            c_best = c_current;
             best = current;
+            best_lifetime = current_eval.metrics.tauPhoton();
             ++improved;
         }
         temperature *= config.coolingRate;
@@ -248,9 +181,8 @@ bdirOptimize(const LayerSchedulingProblem &lsp, const Schedule &initial,
         stats->iterations = config.maxIterations;
         stats->acceptedMoves = accepted;
         stats->improvedMoves = improved;
-        stats->initialLifetime =
-            evaluateSchedule(lsp, initial).tauPhoton();
-        stats->finalLifetime = evaluateSchedule(lsp, best).tauPhoton();
+        stats->initialLifetime = initial_lifetime;
+        stats->finalLifetime = best_lifetime;
     }
     return best;
 }

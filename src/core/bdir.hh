@@ -10,6 +10,13 @@
  *   3. PINANDRESCHEDULE pins the task there and re-runs list
  *      scheduling with priorities equal to the current start times,
  *      preserving the schedule's relative ordering.
+ *
+ * Steps 1 and 2 read one evaluateSchedule sweep (core/lsp.hh), at
+ * task granularity: its bottleneck is step 1, and its dependency-node
+ * MTime values are the measuree anchors of step 2. The SA loop keeps
+ * the current schedule's evaluation and cost between iterations, so
+ * each move costs one evaluation, of the new schedule, plus one
+ * list-scheduling run.
  */
 
 #ifndef DCMBQC_CORE_BDIR_HH
@@ -77,6 +84,26 @@ Schedule bdirOptimize(const LayerSchedulingProblem &lsp,
  */
 Schedule generateNeighbor(const LayerSchedulingProblem &lsp,
                           const Schedule &current);
+
+/**
+ * CALCULATEBALANCEPOINT (exposed for tests): the slot minimizing the
+ * cost main task `task` would have at slot t with every other task
+ * fixed, the maximum of
+ *  - |t - a| over the start of each neighbor task and the slot of
+ *    each of the task's sync tasks;
+ *  - MTime(p) + 1 - t over each external predecessor p;
+ *  - t - (start of s - 2) over each external successor task s;
+ * all in physical cycles. The cost is piecewise-linear convex in t;
+ * an integer ternary search over [0, makespan] finds the slot. Only
+ * the lowest and highest anchors shape a maximum, so duplicate
+ * anchors do not change the result.
+ *
+ * @param evaluation evaluateSchedule's output for `schedule`.
+ */
+TimeSlot balancePointForMain(const LayerSchedulingProblem &lsp,
+                             const Schedule &schedule,
+                             const ScheduleEvaluation &evaluation,
+                             int task);
 
 } // namespace dcmbqc
 

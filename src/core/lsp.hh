@@ -11,11 +11,12 @@
 #ifndef DCMBQC_CORE_LSP_HH
 #define DCMBQC_CORE_LSP_HH
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
-#include "core/lifetime.hh"
 #include "graph/digraph.hh"
 #include "graph/graph.hh"
 
@@ -44,10 +45,26 @@ struct SyncTask
     NodeId v = invalidNode;
 };
 
+/** A read-only run of ints: one row of a flat (CSR) table. */
+struct IndexRange
+{
+    const int *first = nullptr;
+    const int *last = nullptr;
+
+    const int *begin() const { return first; }
+    const int *end() const { return last; }
+};
+
 /**
  * An instance of the layer scheduling problem. Owns the fusee-edge
  * graph restricted to intra-QPU edges plus the global dependency
  * graph needed to evaluate tau_local.
+ *
+ * Every task-level view the schedule evaluator and BDIR read is
+ * built once, on construction: the distinct fusee task pairs, the
+ * dependency nodes in topological order with their predecessors,
+ * and each main task's anchors (see evaluateSchedule and
+ * balancePointForMain).
  */
 class LayerSchedulingProblem
 {
@@ -109,7 +126,70 @@ class LayerSchedulingProblem
     const Graph &localEdges() const { return localEdges_; }
     const Digraph &deps() const { return deps_; }
 
+    /**
+     * The distinct main-task pairs (a, b), a < b, joined by an
+     * intra-QPU edge, each at the position of its first edge. An
+     * edge's fusee span depends only on the start slots of its two
+     * tasks; edges within one task span 0 and have no pair.
+     */
+    const std::vector<std::pair<int, int>> &fuseeTaskPairs() const
+    {
+        return fuseeTaskPairs_;
+    }
+
+    /**
+     * The nodes with at least one dependency arc, in the topological
+     * order the release slots were computed in. Every other node
+     * waits exactly one cycle for its measurement.
+     */
+    const std::vector<NodeId> &depNodes() const { return depNodes_; }
+
+    /** Positions in depNodes() of the predecessors of depNodes()[i]. */
+    IndexRange depPredecessors(int i) const
+    {
+        return depPreds_.row(i);
+    }
+
+    /** Main tasks joined to `main_task` by an intra-QPU edge. */
+    IndexRange neighborTasks(int main_task) const
+    {
+        return neighborTasks_.row(main_task);
+    }
+
+    /**
+     * Positions in depNodes() of the predecessors, outside the task,
+     * of the task's nodes.
+     */
+    IndexRange externalPredecessors(int main_task) const
+    {
+        return externalPreds_.row(main_task);
+    }
+
+    /** Main tasks, other than this one, of its nodes' successors. */
+    IndexRange successorTasks(int main_task) const
+    {
+        return successorTasks_.row(main_task);
+    }
+
   private:
+    /** Rows of ints stored flat; row r is items[offsets[r], offsets[r+1]). */
+    struct Rows
+    {
+        std::vector<int> offsets{0};
+        std::vector<int> items;
+
+        void endRow() { offsets.push_back(static_cast<int>(items.size())); }
+
+        IndexRange
+        row(int r) const
+        {
+            return {items.data() + offsets[r],
+                    items.data() + offsets[r + 1]};
+        }
+    };
+
+    void buildTaskViews(const std::vector<NodeId> &topo_order);
+
     std::vector<MainTask> mainTasks_;
     std::vector<SyncTask> syncTasks_;
     std::vector<std::vector<int>> qpuTasks_;
@@ -118,6 +198,12 @@ class LayerSchedulingProblem
     std::vector<TimeSlot> mainRelease_;
     Graph localEdges_;
     Digraph deps_;
+    std::vector<std::pair<int, int>> fuseeTaskPairs_;
+    std::vector<NodeId> depNodes_;
+    Rows depPreds_;
+    Rows neighborTasks_;
+    Rows externalPreds_;
+    Rows successorTasks_;
     int numQpus_ = 1;
     int kmax_ = 4;
     int plRatio_ = 1;
@@ -144,7 +230,56 @@ struct ScheduleMetrics
     int tauPhoton() const { return std::max(tauLocal, tauRemote); }
 };
 
-/** Evaluate the objective of a (feasible) schedule. */
+/**
+ * The schedule's primary bottleneck (FINDBOTTLENECKTASK of
+ * Algorithm 3): the cost source that sets tau_photon.
+ */
+struct ScheduleBottleneck
+{
+    enum class Kind { Fusee, Measuree, Remote };
+
+    Kind kind = Kind::Fusee;
+    int cost = 0;
+
+    /** Main task to move (Fusee / Measuree) or -1. */
+    int mainTask = -1;
+
+    /** Sync task to move (Remote) or -1. */
+    int syncTask = -1;
+};
+
+/** Everything one evaluation sweep over a schedule yields. */
+struct ScheduleEvaluation
+{
+    ScheduleMetrics metrics;
+    ScheduleBottleneck bottleneck;
+
+    /** MTime (physical cycles) of each node of lsp.depNodes(). */
+    std::vector<TimeSlot> depMtime;
+};
+
+/**
+ * Evaluate a (feasible) schedule in one sweep at task granularity,
+ * with the values of Algorithm 1 over every photon:
+ *  - tau_fusee is the largest span over fuseeTaskPairs(); the fusee
+ *    bottleneck is the first pair reaching it, which is the pair of
+ *    the first edge reaching it, and its later task moves;
+ *  - tau_measuree comes from the MTime recurrence over depNodes()
+ *    only, every other node waiting one cycle; the measuree
+ *    bottleneck is the task of the lowest node id with the largest
+ *    wait;
+ *  - tau_remote and its bottleneck are the first sync task with the
+ *    largest connector wait.
+ * A later category becomes the bottleneck only with a strictly
+ * greater cost (fusee, then measuree, then remote), as a scan over
+ * every edge, then every node, then every sync task would find.
+ *
+ * @param out Overwritten; its buffers are reused across calls.
+ */
+void evaluateSchedule(const LayerSchedulingProblem &lsp,
+                      const Schedule &schedule, ScheduleEvaluation &out);
+
+/** The metrics of evaluateSchedule above. */
 ScheduleMetrics evaluateSchedule(const LayerSchedulingProblem &lsp,
                                  const Schedule &schedule);
 

@@ -17,6 +17,7 @@
 
 #include "compiler/single_qpu.hh"
 #include "core/bdir.hh"
+#include "core/lifetime.hh"
 #include "core/lsp.hh"
 #include "partition/adaptive.hh"
 

@@ -155,20 +155,28 @@ partitionLogSurvival(const Graph &g, const Partitioning &p,
 
 double
 scheduleLogSurvival(const LayerSchedulingProblem &lsp,
-                    const Schedule &schedule, const NoiseModel &model)
+                    const Schedule &schedule,
+                    const ScheduleEvaluation &evaluation,
+                    const NoiseModel &model)
 {
     const NodeId n = lsp.localEdges().numNodes();
     std::vector<TimeSlot> node_time(n);
-    for (NodeId u = 0; u < n; ++u) {
-        const int task = lsp.taskOfNode(u);
-        node_time[u] = task >= 0
-            ? schedule.mainStart[task] * lsp.plRatio()
-            : 0;
-    }
-
-    std::vector<NoiseSite> sites(n);
     for (NodeId u = 0; u < n; ++u)
+        node_time[u] = schedule.mainStart[lsp.taskOfNode(u)] * lsp.plRatio();
+
+    // Measuree storage: one cycle for a node without dependency arcs,
+    // the evaluation's MTime wait for the others.
+    std::vector<NoiseSite> sites(n);
+    for (NodeId u = 0; u < n; ++u) {
         sites[u].totalSites = static_cast<int>(n);
+        sites[u].storageCycles = 1;
+    }
+    const auto &dep_nodes = lsp.depNodes();
+    for (std::size_t i = 0; i < dep_nodes.size(); ++i) {
+        const NodeId u = dep_nodes[i];
+        sites[u].storageCycles =
+            static_cast<int>(evaluation.depMtime[i] - node_time[u]);
+    }
 
     // Intra-QPU fusee storage (earlier photon of each local pair).
     for (const auto &e : lsp.localEdges().edges()) {
@@ -178,12 +186,6 @@ scheduleLogSurvival(const LayerSchedulingProblem &lsp,
             sites[waiter].storageCycles,
             static_cast<int>(du > 0 ? du : -du));
     }
-
-    // Measuree storage.
-    const auto waits = measureeWaits(lsp.deps(), node_time);
-    for (NodeId u = 0; u < n; ++u)
-        sites[u].storageCycles =
-            std::max(sites[u].storageCycles, waits[u]);
 
     // Connector waits: each endpoint holds from its generation to
     // the connection layer of its sync task.

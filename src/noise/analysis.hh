@@ -117,9 +117,14 @@ double partitionLogSurvival(const Graph &g, const Partitioning &p,
  * the same accounting Algorithm 3's bottleneck finder uses), and
  * per-fusion failure. This is the BDIR objective under a noise
  * model.
+ *
+ * @param evaluation evaluateSchedule's output for `schedule`: its
+ *        MTime values give the measuree storage, so the score
+ *        reuses the LSP's stored topological order.
  */
 double scheduleLogSurvival(const LayerSchedulingProblem &lsp,
                            const Schedule &schedule,
+                           const ScheduleEvaluation &evaluation,
                            const NoiseModel &model);
 
 } // namespace dcmbqc

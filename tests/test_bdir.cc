@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "api/api.hh"
@@ -16,6 +17,7 @@
 #include "circuit/generators.hh"
 #include "common/rng.hh"
 #include "core/bdir.hh"
+#include "core/lifetime.hh"
 #include "core/list_scheduler.hh"
 #include "photonic/grid.hh"
 #include "serialize/binary.hh"
@@ -172,10 +174,13 @@ tableTwoProgram(const std::string &family, int qubits)
     return makeRippleCarryAdder(qubits);
 }
 
-/** The CLI-default pass pipeline up to and including RefineBdir. */
-BdirRun
-refineAtCliDefaults(const Circuit &circuit, int qpus,
-                    const NoiseModel *noise = nullptr)
+/**
+ * The CLI-default pass pipeline (kmax 4, Star5, BDIR on, seed 1) up
+ * to PlaceLocal, then ScheduleList and RefineBdir when `refine`.
+ */
+void
+runAtCliDefaults(PassContext &ctx, const Circuit &circuit, int qpus,
+                 bool refine)
 {
     auto config = CompileOptions()
                       .numQpus(qpus)
@@ -185,23 +190,32 @@ refineAtCliDefaults(const Circuit &circuit, int qpus,
                       .useBdir(true)
                       .seed(1)
                       .build();
-    EXPECT_TRUE(config.ok()) << config.status().toString();
-    PassContext ctx;
+    ASSERT_TRUE(config.ok()) << config.status().toString();
     ctx.config = config.value();
     ctx.circuit = &circuit;
-    ctx.noise = noise;
     PassManager manager;
     manager.add(std::make_unique<TranspilePass>())
         .add(std::make_unique<PatternBuildPass>())
         .add(std::make_unique<PartitionPass>())
-        .add(std::make_unique<PlaceLocalPass>())
-        .add(std::make_unique<ScheduleListPass>())
-        .add(std::make_unique<RefineBdirPass>());
+        .add(std::make_unique<PlaceLocalPass>());
+    if (refine) {
+        manager.add(std::make_unique<ScheduleListPass>())
+            .add(std::make_unique<RefineBdirPass>());
+    }
     std::vector<StageReport> stages;
     const Status status = manager.run(ctx, stages);
-    EXPECT_TRUE(status.ok()) << status.toString();
+    ASSERT_TRUE(status.ok()) << status.toString();
+}
+
+BdirRun
+refineAtCliDefaults(const Circuit &circuit, int qpus,
+                    const NoiseModel *noise = nullptr)
+{
+    PassContext ctx;
+    ctx.noise = noise;
+    runAtCliDefaults(ctx, circuit, qpus, true);
     BdirRun run;
-    if (!status.ok())
+    if (!ctx.schedule)
         return run;
     const auto bytes = encodeScheduleArtifact(*ctx.schedule);
     run.hash = fnv1a64(bytes.data(), bytes.size());
@@ -277,6 +291,441 @@ TEST(BdirPins, NoiseAwareRefinementIsByteStable)
     const BdirPin pin = {"qft", 36, 8, 0x9c090a60abf60431ull,
                          20, 1, 185, 200};
     expectPinned(refineAtCliDefaults(makeQft(36), 8, &*noise), pin);
+}
+
+
+// --- Differential: task-level evaluator vs node-level oracle -------------
+//
+// evaluateSchedule and balancePointForMain work on task pairs, the
+// dependency nodes and per-task anchors. The oracle below is the
+// node-level evaluation they replace: Algorithm 1 over every photon
+// (computeLifetime), then a scan over every intra-QPU edge, every
+// node and every sync task for the bottleneck, and the balance point
+// from every node's anchors.
+
+std::vector<TimeSlot>
+oracleNodeTimes(const LayerSchedulingProblem &lsp, const Schedule &s)
+{
+    std::vector<TimeSlot> times(lsp.localEdges().numNodes());
+    for (NodeId u = 0; u < lsp.localEdges().numNodes(); ++u)
+        times[u] = s.mainStart[lsp.taskOfNode(u)] * lsp.plRatio();
+    return times;
+}
+
+ScheduleMetrics
+oracleMetrics(const LayerSchedulingProblem &lsp, const Schedule &s,
+              const std::vector<TimeSlot> &node_time)
+{
+    ScheduleMetrics metrics;
+    metrics.tauLocal =
+        computeLifetime(lsp.localEdges(), lsp.deps(), node_time)
+            .tauPhoton();
+    const int pl = lsp.plRatio();
+    for (std::size_t k = 0; k < lsp.syncTasks().size(); ++k) {
+        const auto &sync = lsp.syncTasks()[k];
+        const TimeSlot t = s.syncStart[k] * pl;
+        metrics.tauRemote = std::max(
+            {metrics.tauRemote, std::abs(t - s.mainStart[sync.taskA] * pl),
+             std::abs(t - s.mainStart[sync.taskB] * pl)});
+    }
+    TimeSlot last = -1;
+    for (TimeSlot t : s.mainStart)
+        last = std::max(last, t);
+    for (TimeSlot t : s.syncStart)
+        last = std::max(last, t);
+    metrics.makespan = (last + 1) * pl;
+    return metrics;
+}
+
+ScheduleBottleneck
+oracleBottleneck(const LayerSchedulingProblem &lsp, const Schedule &s,
+                 const std::vector<TimeSlot> &node_time)
+{
+    ScheduleBottleneck best;
+    for (const auto &e : lsp.localEdges().edges()) {
+        const int span = std::abs(node_time[e.u] - node_time[e.v]);
+        if (span > best.cost) {
+            best.cost = span;
+            best.kind = ScheduleBottleneck::Kind::Fusee;
+            const NodeId later =
+                node_time[e.u] >= node_time[e.v] ? e.u : e.v;
+            best.mainTask = lsp.taskOfNode(later);
+        }
+    }
+    const auto waits = measureeWaits(lsp.deps(), node_time);
+    for (NodeId u = 0; u < static_cast<NodeId>(waits.size()); ++u) {
+        if (waits[u] > best.cost) {
+            best.cost = waits[u];
+            best.kind = ScheduleBottleneck::Kind::Measuree;
+            best.mainTask = lsp.taskOfNode(u);
+        }
+    }
+    const int pl = lsp.plRatio();
+    for (std::size_t k = 0; k < lsp.syncTasks().size(); ++k) {
+        const auto &sync = lsp.syncTasks()[k];
+        const TimeSlot t = s.syncStart[k] * pl;
+        const int d =
+            std::max(std::abs(t - s.mainStart[sync.taskA] * pl),
+                     std::abs(t - s.mainStart[sync.taskB] * pl));
+        if (d > best.cost) {
+            best.cost = d;
+            best.kind = ScheduleBottleneck::Kind::Remote;
+            best.mainTask = -1;
+            best.syncTask = static_cast<int>(k);
+        }
+    }
+    return best;
+}
+
+/** MTime of every node, Algorithm 1 Part 2. */
+std::vector<TimeSlot>
+oracleMtime(const LayerSchedulingProblem &lsp,
+            const std::vector<TimeSlot> &node_time)
+{
+    std::vector<NodeId> order;
+    lsp.deps().topologicalSort(order);
+    std::vector<TimeSlot> mtime(node_time.size());
+    for (NodeId u : order) {
+        TimeSlot t = node_time[u] + 1;
+        for (NodeId v : lsp.deps().predecessors(u))
+            t = std::max(t, mtime[v] + 1);
+        mtime[u] = t;
+    }
+    return mtime;
+}
+
+TimeSlot
+oracleBalancePoint(const LayerSchedulingProblem &lsp, const Schedule &s,
+                   const std::vector<TimeSlot> &node_time,
+                   const std::vector<TimeSlot> &mtime, int task)
+{
+    std::vector<TimeSlot> abs_anchors;
+    std::vector<TimeSlot> late_pressure;
+    std::vector<TimeSlot> early_pressure;
+    std::vector<char> in_task(lsp.localEdges().numNodes(), 0);
+    for (NodeId u : lsp.mainTasks()[task].nodes)
+        in_task[u] = 1;
+    for (NodeId u : lsp.mainTasks()[task].nodes) {
+        for (const auto &adj : lsp.localEdges().adjacency(u))
+            if (!in_task[adj.neighbor])
+                abs_anchors.push_back(node_time[adj.neighbor]);
+        for (NodeId p : lsp.deps().predecessors(u))
+            if (!in_task[p])
+                late_pressure.push_back(mtime[p] + 1);
+        for (NodeId c : lsp.deps().successors(u))
+            if (!in_task[c])
+                early_pressure.push_back(node_time[c] - 2);
+    }
+    for (int k : lsp.syncsOfTask(task))
+        abs_anchors.push_back(s.syncStart[k] * lsp.plRatio());
+
+    auto cost = [&](TimeSlot t) {
+        long long c = 0;
+        for (TimeSlot a : abs_anchors)
+            c = std::max<long long>(c, std::abs(t - a));
+        for (TimeSlot a : late_pressure)
+            c = std::max<long long>(c, a - t);
+        for (TimeSlot a : early_pressure)
+            c = std::max<long long>(c, t - a);
+        return c;
+    };
+    TimeSlot lo = 0;
+    TimeSlot hi = std::max<TimeSlot>(s.makespan * lsp.plRatio(), 1);
+    while (hi - lo > 2) {
+        const TimeSlot m1 = lo + (hi - lo) / 3;
+        const TimeSlot m2 = hi - (hi - lo) / 3;
+        if (cost(m1) <= cost(m2))
+            hi = m2;
+        else
+            lo = m1;
+    }
+    TimeSlot best_t = lo;
+    for (TimeSlot t = lo; t <= hi; ++t)
+        if (cost(t) < cost(best_t))
+            best_t = t;
+    return best_t / lsp.plRatio();
+}
+
+/**
+ * Compare the evaluator with the oracle on one schedule: metrics,
+ * bottleneck, and the balance point of every main task (all of them
+ * when `every_task`, else the bottleneck's and a sample).
+ */
+void
+expectMatchesOracle(const LayerSchedulingProblem &lsp, const Schedule &s,
+                    bool every_task = true)
+{
+    std::string why;
+    ASSERT_TRUE(validateSchedule(lsp, s, &why)) << why;
+    const auto node_time = oracleNodeTimes(lsp, s);
+    ScheduleEvaluation evaluation;
+    evaluateSchedule(lsp, s, evaluation);
+
+    const ScheduleMetrics want = oracleMetrics(lsp, s, node_time);
+    EXPECT_EQ(evaluation.metrics.tauLocal, want.tauLocal);
+    EXPECT_EQ(evaluation.metrics.tauRemote, want.tauRemote);
+    EXPECT_EQ(evaluation.metrics.makespan, want.makespan);
+    const ScheduleMetrics plain = evaluateSchedule(lsp, s);
+    EXPECT_EQ(plain.tauLocal, want.tauLocal);
+    EXPECT_EQ(plain.tauRemote, want.tauRemote);
+
+    const ScheduleBottleneck bottleneck = oracleBottleneck(lsp, s, node_time);
+    EXPECT_EQ(evaluation.bottleneck.kind, bottleneck.kind);
+    EXPECT_EQ(evaluation.bottleneck.cost, bottleneck.cost);
+    EXPECT_EQ(evaluation.bottleneck.mainTask, bottleneck.mainTask);
+    EXPECT_EQ(evaluation.bottleneck.syncTask, bottleneck.syncTask);
+
+    const auto mtime = oracleMtime(lsp, node_time);
+    const int num_tasks = static_cast<int>(lsp.mainTasks().size());
+    const int stride = every_task ? 1 : std::max(1, num_tasks / 16);
+    for (int task = 0; task < num_tasks; ++task) {
+        if (task % stride != 0 && task != bottleneck.mainTask)
+            continue;
+        EXPECT_EQ(balancePointForMain(lsp, s, evaluation, task),
+                  oracleBalancePoint(lsp, s, node_time, mtime, task))
+            << "main task " << task;
+    }
+}
+
+/** A feasible schedule from random priorities and a random pin. */
+Schedule
+randomSchedule(const LayerSchedulingProblem &lsp, Rng &rng,
+               TimeSlot horizon)
+{
+    std::vector<double> main_priority(lsp.mainTasks().size());
+    for (double &p : main_priority)
+        p = rng.uniform() * horizon;
+    std::vector<double> sync_priority(lsp.syncTasks().size());
+    for (double &p : sync_priority)
+        p = rng.uniform() * horizon;
+    std::optional<TaskPin> pin;
+    if (rng.uniform() < 0.8) {
+        TaskPin chosen;
+        chosen.isMain = lsp.syncTasks().empty() || rng.uniform() < 0.6;
+        const std::size_t count = chosen.isMain ? lsp.mainTasks().size()
+                                                : lsp.syncTasks().size();
+        chosen.task = static_cast<int>(rng.uniformInt(count));
+        chosen.slot = static_cast<TimeSlot>(rng.uniformInt(horizon + 1));
+        pin = chosen;
+    }
+    return listSchedule(lsp, main_priority, sync_priority, pin);
+}
+
+TEST(BdirEvaluator, MatchesNodeLevelOracleOnTableTwoLsps)
+{
+    const struct
+    {
+        const char *family;
+        int qubits;
+        int k;
+    } cases[] = {
+        {"qft", 16, 4}, {"vqe", 16, 8}, {"qaoa", 16, 4}, {"rca", 36, 4},
+    };
+    for (const auto &c : cases) {
+        const std::string name = std::string(c.family) + "-" +
+            std::to_string(c.qubits) + "@" + std::to_string(c.k);
+        SCOPED_TRACE(name);
+        const Circuit circuit = tableTwoProgram(c.family, c.qubits);
+        PassContext ctx;
+        runAtCliDefaults(ctx, circuit, c.k, false);
+        ASSERT_TRUE(ctx.lsp.has_value());
+        const LayerSchedulingProblem &lsp = *ctx.lsp;
+        const Schedule initial = listScheduleDefault(lsp);
+        expectMatchesOracle(lsp, initial);
+
+        Rng rng(0x5eed + c.qubits * 8 + c.k);
+        for (int i = 0; i < 24; ++i)
+            expectMatchesOracle(lsp, randomSchedule(lsp, rng,
+                                                    initial.makespan),
+                                /*every_task=*/false);
+
+        // Along a BDIR trajectory, where bottlenecks sit near ties.
+        Schedule current = initial;
+        for (int i = 0; i < 8; ++i) {
+            current = generateNeighbor(lsp, current);
+            expectMatchesOracle(lsp, current, /*every_task=*/false);
+        }
+    }
+}
+
+/**
+ * Random instance: `qpus` QPUs of `layers` layers with `per_task`
+ * nodes each; local edges join nodes of one QPU, arcs run along a
+ * random order of the nodes, and syncs join tasks of two QPUs.
+ */
+LayerSchedulingProblem
+randomLsp(Rng &rng, int qpus, int layers, int per_task, int edges,
+          int arcs, int syncs, int pl_ratio)
+{
+    std::vector<MainTask> mains;
+    NodeId next = 0;
+    for (int q = 0; q < qpus; ++q) {
+        for (int j = 0; j < layers; ++j) {
+            MainTask task{q, j, {}};
+            for (int n = 0; n < per_task; ++n)
+                task.nodes.push_back(next++);
+            mains.push_back(std::move(task));
+        }
+    }
+    const NodeId per_qpu = layers * per_task;
+    Graph local(next);
+    for (int e = 0; e < edges; ++e) {
+        const NodeId base =
+            static_cast<NodeId>(rng.uniformInt(qpus)) * per_qpu;
+        const NodeId u = base + rng.uniformInt(per_qpu);
+        const NodeId v = base + rng.uniformInt(per_qpu);
+        if (u != v)
+            local.addEdge(u, v);
+    }
+    // Arcs follow a random rank, so the topological order is not the
+    // node-id order and ties in the measuree wait need the id rule.
+    std::vector<NodeId> rank(next);
+    for (NodeId u = 0; u < next; ++u)
+        rank[u] = u;
+    rng.shuffle(rank);
+    Digraph deps(next);
+    for (int a = 0; a < arcs; ++a) {
+        NodeId u = rng.uniformInt(next);
+        NodeId v = rng.uniformInt(next);
+        if (rank[u] > rank[v])
+            std::swap(u, v);
+        if (u != v)
+            deps.addArc(u, v);
+    }
+    std::vector<SyncTask> sync_tasks;
+    for (int k = 0; k < syncs && qpus > 1; ++k) {
+        const int qa = static_cast<int>(rng.uniformInt(qpus));
+        const int qb = (qa + 1 + static_cast<int>(rng.uniformInt(qpus - 1))) %
+            qpus;
+        SyncTask sync;
+        sync.taskA = qa * layers + static_cast<int>(rng.uniformInt(layers));
+        sync.taskB = qb * layers + static_cast<int>(rng.uniformInt(layers));
+        sync.u = mains[sync.taskA].nodes[0];
+        sync.v = mains[sync.taskB].nodes[0];
+        sync_tasks.push_back(sync);
+    }
+    return LayerSchedulingProblem(std::move(mains), std::move(sync_tasks),
+                                  std::move(local), std::move(deps), qpus,
+                                  2, pl_ratio);
+}
+
+TEST(BdirEvaluator, MatchesNodeLevelOracleOnEdgeCases)
+{
+    Rng rng(2024);
+    const struct
+    {
+        const char *what;
+        int qpus, layers, perTask, edges, arcs, syncs, pl;
+    } cases[] = {
+        {"no sync tasks", 1, 8, 3, 20, 12, 0, 1},
+        {"no sync tasks, 3 QPUs", 3, 5, 2, 15, 10, 0, 2},
+        {"no dependency arcs", 2, 6, 3, 18, 0, 6, 1},
+        {"no local edges", 2, 6, 2, 0, 10, 5, 1},
+        {"nothing but tasks", 2, 4, 2, 0, 0, 0, 3},
+        {"one node per task", 3, 6, 1, 12, 9, 6, 1},
+        {"dense", 2, 5, 4, 60, 40, 10, 2},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.what);
+        for (int rep = 0; rep < 6; ++rep) {
+            const auto lsp = randomLsp(rng, c.qpus, c.layers, c.perTask,
+                                       c.edges, c.arcs, c.syncs, c.pl);
+            const Schedule initial = listScheduleDefault(lsp);
+            expectMatchesOracle(lsp, initial);
+            for (int i = 0; i < 10; ++i)
+                expectMatchesOracle(
+                    lsp, randomSchedule(lsp, rng, initial.makespan + 2));
+        }
+    }
+}
+
+TEST(BdirEvaluator, SpansOfZeroAndCategoryTies)
+{
+    // Every local edge inside one task: every span is 0, and with no
+    // arcs every node waits one cycle, so the measuree bottleneck is
+    // node 0's task.
+    {
+        std::vector<MainTask> mains = {{0, 0, {2, 3}}, {0, 1, {0, 1}}};
+        Graph local(4);
+        local.addEdge(0, 1);
+        local.addEdge(2, 3);
+        LayerSchedulingProblem lsp(std::move(mains), {}, std::move(local),
+                                   Digraph(4), 1, 4);
+        EXPECT_TRUE(lsp.fuseeTaskPairs().empty());
+        EXPECT_TRUE(lsp.depNodes().empty());
+        Schedule s;
+        s.mainStart = {0, 1};
+        s.makespan = 2;
+        expectMatchesOracle(lsp, s);
+        ScheduleEvaluation evaluation;
+        evaluateSchedule(lsp, s, evaluation);
+        EXPECT_EQ(evaluation.bottleneck.kind,
+                  ScheduleBottleneck::Kind::Measuree);
+        EXPECT_EQ(evaluation.bottleneck.mainTask, 1);
+        EXPECT_EQ(evaluation.metrics.tauLocal, 1);
+    }
+
+    // Nodes 2 and 0 both wait 3 cycles, and the topological order
+    // reaches node 2 first: the bottleneck is still node 0's task.
+    {
+        std::vector<MainTask> mains;
+        for (int j = 0; j < 4; ++j)
+            mains.push_back({0, j, {static_cast<NodeId>(j)}});
+        for (int j = 0; j < 4; ++j)
+            mains.push_back({1, j, {static_cast<NodeId>(4 + j)}});
+        Digraph deps(8);
+        deps.addArc(3, 2); // node 2 (slot 2) waits for node 3 (slot 3)
+        deps.addArc(4, 1);
+        deps.addArc(1, 0); // node 0 (slot 0) waits for 4 (0), 1 (1)
+        LayerSchedulingProblem lsp(std::move(mains), {}, Graph(8),
+                                   std::move(deps), 2, 4);
+        ASSERT_EQ(lsp.depNodes(),
+                  (std::vector<NodeId>{3, 4, 2, 1, 0}));
+        Schedule s;
+        s.mainStart = {0, 1, 2, 3, 0, 1, 2, 3};
+        s.makespan = 4;
+        expectMatchesOracle(lsp, s);
+        ScheduleEvaluation evaluation;
+        evaluateSchedule(lsp, s, evaluation);
+        EXPECT_EQ(evaluation.bottleneck.kind,
+                  ScheduleBottleneck::Kind::Measuree);
+        EXPECT_EQ(evaluation.bottleneck.cost, 3);
+        EXPECT_EQ(evaluation.bottleneck.mainTask, 0);
+    }
+
+    // Fusee span, measuree wait and connector wait all equal 3: the
+    // fusee bottleneck wins; without the edge the measuree one does;
+    // the remote one wins only with a strictly larger wait.
+    using Kind = ScheduleBottleneck::Kind;
+    const Kind expected[] = {Kind::Fusee, Kind::Measuree, Kind::Remote};
+    for (int variant = 0; variant < 3; ++variant) {
+        SCOPED_TRACE("variant " + std::to_string(variant));
+        std::vector<MainTask> mains;
+        for (int j = 0; j < 4; ++j)
+            mains.push_back({0, j, {static_cast<NodeId>(j)}});
+        for (int j = 0; j < 4; ++j)
+            mains.push_back({1, j, {static_cast<NodeId>(4 + j)}});
+        Graph local(8);
+        if (variant == 0)
+            local.addEdge(0, 3); // slots 0 and 3: span 3
+        Digraph deps(8);
+        // Node 4 (slot 0) waits for node 5 (slot 1): MTime 3, wait 3.
+        deps.addArc(5, 4);
+        std::vector<SyncTask> syncs = {{2, 6, 2, 6}};
+        LayerSchedulingProblem lsp(std::move(mains), std::move(syncs),
+                                   std::move(local), std::move(deps), 2,
+                                   4);
+        Schedule s;
+        s.mainStart = {0, 1, 2, 3, 0, 1, 2, 3};
+        s.syncStart = {variant == 2 ? 6 : 5}; // tasks 2 and 6 at slot 2
+        s.makespan = s.syncStart[0] + 1;
+        expectMatchesOracle(lsp, s);
+        ScheduleEvaluation evaluation;
+        evaluateSchedule(lsp, s, evaluation);
+        EXPECT_EQ(evaluation.bottleneck.kind, expected[variant]);
+        EXPECT_EQ(evaluation.bottleneck.cost, variant == 2 ? 4 : 3);
+        expectMatchesOracle(lsp, s);
+    }
 }
 
 } // namespace
