@@ -1,5 +1,7 @@
 #include "noise/model.hh"
 
+#include <cmath>
+
 namespace dcmbqc
 {
 
@@ -92,6 +94,14 @@ buildNoiseModel(const NoiseConfig &config)
                 mechanism->set(param.name, param.value);
             if (!status.ok())
                 return status;
+            // NaN fails no range check and +inf passes every "< 0"
+            // one, so no mechanism's validate() can be trusted with
+            // them: reject both here, for every mechanism.
+            if (!std::isfinite(param.value))
+                return Status::invalidConfig(
+                    "noise parameter '" + param.name +
+                    "' of mechanism '" + spec.mechanism +
+                    "' must be finite");
         }
         const Status status = mechanism->validate();
         if (!status.ok())

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -263,6 +264,24 @@ TEST_F(Cli, CertainLossRunsAndNonFiniteCycleIsRejected)
     EXPECT_EQ(lost.lostShots, 32);
     EXPECT_EQ(cli("run clifford.dcmbqc --qpus 2 --backend mc-loss "
                   "--shots 32 --cycle-ns nan"),
+              1);
+}
+
+TEST_F(Cli, NonFiniteNoiseParameterIsAStatusError)
+{
+    // 1e999 parses to +inf; at zero storage the delay line's survival
+    // would be exp(-inf * 0) = NaN.
+    saveCircuit("clifford.dcmbqc", makeRandomCliffordCircuit(5, 20, 3));
+    {
+        std::ofstream out(path("inf.json"));
+        out << R"({"mechanisms": [{"mechanism": "delay-line", )"
+               R"("params": {"attenuation_db_per_km": 1e999}}]})";
+    }
+    EXPECT_EQ(cli("run clifford.dcmbqc --qpus 2 --backend all --shots 8 "
+                  "--noise inf.json"),
+              1);
+    EXPECT_EQ(cli("compile --in clifford.dcmbqc --qpus 2 --noise inf.json "
+                  "--quiet"),
               1);
 }
 

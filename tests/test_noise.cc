@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "api/api.hh"
@@ -151,6 +152,35 @@ TEST(NoiseModel, UnknownMechanismNamesTheKnownSet)
     EXPECT_NE(model.status().message().find("delay-line"),
               std::string::npos)
         << model.status().message();
+}
+
+TEST(NoiseModel, NonFiniteParameterIsInvalidConfig)
+{
+    // NaN fails every comparison and +inf passes every "< 0" check,
+    // so each mechanism's own validate() would let them through.
+    const double bad[] = {std::nan(""),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+    int checked = 0;
+    for (const std::string &name : noiseMechanismNames()) {
+        const auto mechanism = makeNoiseMechanism(name);
+        ASSERT_NE(mechanism, nullptr) << name;
+        for (const NoiseParam &param : mechanism->params()) {
+            for (double value : bad) {
+                SCOPED_TRACE(name + "." + param.name + " = " +
+                             std::to_string(value));
+                NoiseConfig config;
+                config.add(name, {{param.name, value}});
+                auto model = buildNoiseModel(config);
+                ASSERT_FALSE(model.ok());
+                EXPECT_EQ(model.status().code(),
+                          StatusCode::InvalidConfig);
+                EXPECT_FALSE(noiseAffectsCompile(config));
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GE(checked, 3 * 12); // the 12 parameters of the built-ins
 }
 
 TEST(NoiseModel, CompositeSurvivalIsTheProductOverMechanisms)
