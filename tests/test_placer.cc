@@ -122,12 +122,6 @@ class ReferenceRouter
             queue.push_back(a);
         }
 
-        auto passable = [&](int cell) {
-            if (state_[cell] == State::Free)
-                return true;
-            return state_[cell] == State::Routing && routingLeft_[cell] > 0;
-        };
-
         int found = -1;
         std::size_t head = 0;
         while (head < queue.size() && found < 0) {
@@ -165,6 +159,33 @@ class ReferenceRouter
         return used;
     }
 
+    /**
+     * True when `from` is walled in beside `to`: no cell of `from`
+     * touches `to`, and every open cell `from` reaches (its pocket)
+     * is also open to `to`, which reaches more open cells besides. A
+     * search growing from `from` runs out of cells before one from
+     * `to` does, and the route must meet `to` beside the pocket.
+     */
+    bool walledInBeside(const std::vector<int> &from,
+                        const std::vector<int> &to) const
+    {
+        for (int a : from)
+            for (int nb : neighbors(a))
+                if (std::find(to.begin(), to.end(), nb) != to.end())
+                    return false;
+        const std::vector<char> pocket = openRegion(from, to);
+        const std::vector<char> region = openRegion(to, from);
+        int pocket_cells = 0;
+        int region_cells = 0;
+        for (std::size_t cell = 0; cell < pocket.size(); ++cell) {
+            if (pocket[cell] && !region[cell])
+                return false;
+            pocket_cells += pocket[cell];
+            region_cells += region[cell];
+        }
+        return pocket_cells > 0 && pocket_cells < region_cells;
+    }
+
   private:
     struct UndoEntry
     {
@@ -186,6 +207,36 @@ class ReferenceRouter
     void touch(int cell)
     {
         undo_.push_back({cell, state_[cell], routingLeft_[cell]});
+    }
+
+    /** The open cells reachable from `start` without entering `avoid`. */
+    std::vector<char> openRegion(const std::vector<int> &start,
+                                 const std::vector<int> &avoid) const
+    {
+        std::vector<char> seen(state_.size(), 0);
+        for (int cell : start)
+            seen[cell] = 2;
+        for (int cell : avoid)
+            seen[cell] = 2;
+        std::vector<int> queue(start.begin(), start.end());
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            for (int nb : neighbors(queue[head])) {
+                if (!seen[nb] && passable(nb)) {
+                    seen[nb] = 1;
+                    queue.push_back(nb);
+                }
+            }
+        }
+        for (char &mark : seen)
+            mark = mark == 1;
+        return seen;
+    }
+
+    bool passable(int cell) const
+    {
+        if (state_[cell] == State::Free)
+            return true;
+        return state_[cell] == State::Routing && routingLeft_[cell] > 0;
     }
 
     std::vector<int> neighbors(int cell) const
@@ -234,6 +285,7 @@ TEST(LayerGrid, RoutesMatchReferenceBfsOnRandomHistories)
     int routes = 0;
     int failures = 0;
     int freeTerminalRoutes = 0;
+    int walledInLayers = 0;
     for (int side : sides) {
         const ResourceStateType type = allResourceStateTypes[side % 4];
         LayerGrid grid(makeSpec(side, type));
@@ -272,6 +324,59 @@ TEST(LayerGrid, RoutesMatchReferenceBfsOnRandomHistories)
                         oracle.abortTxn();
                     }
                     ASSERT_NO_FATAL_FAILURE(expectSameCells(grid, oracle));
+                }
+                if (rng() % 2 == 0) {
+                    // Wall a source in beside its target on the fresh
+                    // layer: one node of any size up to the grid, a
+                    // few small ones, then routes back and forth
+                    // between the last and the first until one fails.
+                    // Each route takes the next shortest path round
+                    // the cells the last ones used up, so the small
+                    // node ends in a pocket beside the large one.
+                    const std::size_t first = supers.size();
+                    const int nodes = 2 + static_cast<int>(rng() % 4);
+                    for (int n = 0; n < nodes; ++n) {
+                        const int degree = 1 +
+                            static_cast<int>(rng() % (n == 0 ? side * side
+                                                             : 12));
+                        grid.beginTxn();
+                        oracle.beginTxn();
+                        auto cells = grid.placeNode(degree);
+                        if (!cells) {
+                            grid.abortTxn();
+                            oracle.abortTxn();
+                            continue;
+                        }
+                        ASSERT_TRUE(oracle.place(*cells));
+                        supers.push_back(*cells);
+                        grid.commitTxn();
+                        oracle.commitTxn();
+                    }
+                    bool walled = false;
+                    for (int d = 0; d < 32 && supers.size() >= first + 2;
+                         ++d) {
+                        const auto &from = d % 2 ? supers[first]
+                                                 : supers.back();
+                        const auto &to = d % 2 ? supers.back()
+                                               : supers[first];
+                        walled = walled || oracle.walledInBeside(from, to);
+                        grid.beginTxn();
+                        oracle.beginTxn();
+                        const auto expected = oracle.route(from, to);
+                        ASSERT_EQ(grid.route(from, to), expected);
+                        ++routes;
+                        if (!expected) {
+                            ++failures;
+                            grid.abortTxn();
+                            oracle.abortTxn();
+                            break;
+                        }
+                        grid.commitTxn();
+                        oracle.commitTxn();
+                        ASSERT_NO_FATAL_FAILURE(
+                            expectSameCells(grid, oracle));
+                    }
+                    walledInLayers += walled ? 1 : 0;
                 }
             }
             grid.beginTxn();
@@ -318,10 +423,13 @@ TEST(LayerGrid, RoutesMatchReferenceBfsOnRandomHistories)
             ASSERT_NO_FATAL_FAILURE(expectSameCells(grid, oracle));
         }
     }
-    // The histories must reach both outcomes in bulk.
+    // The histories must reach both outcomes in bulk ...
     EXPECT_GT(routes, 5000);
     EXPECT_GT(failures, routes / 10);
     EXPECT_GT(freeTerminalRoutes, 500);
+    // ... and wall sources in beside their targets on many layers
+    // (57 with this seed and router).
+    EXPECT_GE(walledInLayers, 25);
 }
 
 TEST(LayerGrid, RouteReachesTargetBesideWalledInSource)
@@ -355,8 +463,13 @@ TEST(LayerGrid, RouteReachesTargetBesideWalledInSource)
     const auto &f = nodes[2];
     ASSERT_EQ(t.size(), 11u);
     ASSERT_EQ(f, (std::vector<int>{2 * 5 + 4, 3 * 5 + 4}));
+    int step = 0;
     for (const auto &[from, to] : {std::pair(&t, &f), std::pair(&f, &t),
                                    std::pair(&f, &t)}) {
+        // The third route is a walled-in case as the random histories
+        // count them.
+        if (++step == 3)
+            EXPECT_TRUE(oracle.walledInBeside(*from, *to));
         grid.beginTxn();
         oracle.beginTxn();
         const auto expected = oracle.route(*from, *to);
