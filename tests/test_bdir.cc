@@ -2,7 +2,9 @@
  * @file
  * Tests for BDIR (Algorithm 3): the neighborhood generator always
  * produces feasible schedules, the SA loop never returns something
- * worse than its input, and it fixes planted bottlenecks.
+ * worse than its input, and it fixes planted bottlenecks. Pins of its
+ * output on the Table II programs, and a differential test of the
+ * task-level schedule evaluator against a photon-level oracle.
  */
 
 #include <gtest/gtest.h>
@@ -297,9 +299,9 @@ TEST(BdirPins, NoiseAwareRefinementIsByteStable)
 // --- Differential: task-level evaluator vs node-level oracle -------------
 //
 // evaluateSchedule and balancePointForMain work on task pairs, the
-// dependency nodes and per-task anchors. The oracle below is the
-// node-level evaluation they replace: Algorithm 1 over every photon
-// (computeLifetime), then a scan over every intra-QPU edge, every
+// dependency nodes and per-task anchors. The oracle below evaluates
+// photon by photon and must agree with them: Algorithm 1 over every
+// photon (computeLifetime), a scan over every intra-QPU edge, every
 // node and every sync task for the bottleneck, and the balance point
 // from every node's anchors.
 
